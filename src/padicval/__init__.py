@@ -54,6 +54,7 @@ from .recurrence import (
     make_spec,
     max_power_index,
     valuation_series,
+    valuation_tn,
     valuation_tn_direct,
     valuation_tn_fast,
 )

@@ -2,32 +2,33 @@
 
 Slopes and asymptotic zero numbers are exact rationals (stdlib Fraction),
 never floats.  Hensel primes get the closed form z_p/(p-1); non-Hensel
-primes are handled by a branch recursion that mechanizes the hand steps of
-the worked cases: substitute i = p*k + b at a non-simple root b, factor
-out the minimal coefficient power of p, and recurse.
+primes are handled by the p-adic descent, which mechanizes the hand steps
+of the worked cases: substitute i = p*k + b at a non-simple root b, factor
+out the minimal coefficient power of p, and descend again.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd
+from typing import Iterable
 
 from .errors import DepthExceededError, NotHenselPrimeError, PolynomialVanishesModP, ValuationOfZeroError
 from .padic import (
+    SCAN_THRESHOLD,
     Prime,
     PrimeClassification,
     Verdict,
     classify_prime,
+    descent_step,
     int_valuation,
     primes_first,
     roots_mod_p,
 )
-from .poly import IntPolynomial, format_poly
-from .recurrence import RecurrenceSpec, valuation_tn_direct, valuation_tn_fast
+from .poly import IntPolynomial, integer_poly_gcd, poly_divexact
+from .recurrence import RecurrenceSpec, term_valuations, valuation_tn, write_csv
 
 DEFAULT_DEPTH_CAP = 64
 
@@ -42,52 +43,35 @@ def predicted_slope_hensel(q: IntPolynomial, p: Prime) -> Fraction:
     return Fraction(cls.z_p, p.value - 1)
 
 
-def _min_coeff_valuation(q: IntPolynomial, p: Prime) -> int:
-    return min(int_valuation(c, p) for c in q.coeffs if c != 0)
-
-
-def _expected_valuation(
-    q: IntPolynomial, p: Prime, depth_cap: int, chain: tuple[int, ...]
-) -> Fraction:
-    if depth_cap <= 0:
-        raise DepthExceededError(p.value, chain)
-    pv = p.value
-    roots = roots_mod_p(q, p)
-    dq = q.derivative()
-    total = Fraction(0)
-    for b in roots:
-        if dq.evaluate_mod(b, pv) != 0:
-            # simple root: densities 1/p + 1/p^2 + ... = 1/(p-1)
-            total += Fraction(1, pv - 1)
-        else:
-            r = q.affine_substitute(pv, b)
-            m = _min_coeff_valuation(r, p)
-            reduced = r.exact_scalar_div(pv**m)
-            inner = _expected_valuation(reduced, p, depth_cap - 1, chain + (b,))
-            total += Fraction(1, pv) * (m + inner)
-    return total
-
-
 def exact_slope(
     q: IntPolynomial, p: Prime, depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> Fraction:
     """Exact per-n slope E = lim valuation(t_n)/n, as a fraction.
 
-    Non-Hensel primes are handled by the residue-branch recursion.  A
-    factor repeated over Z would stall that recursion, so repeated
-    factors are first peeled off via gcd(Q, Q'): slopes add over any
-    pointwise factorization, and each peeled layer is squarefree.  The
-    depth cap remains as a backstop and surfaces as DepthExceededError
-    naming the residue chain.
+    The limit of valuation_tn's descent, with densities for window counts:
+    a node at depth d holds 1/p^d of the indices, so its stripped power
+    p^m adds m/p^d and each simple root adds 1/((p-1)p^d).  A factor
+    repeated over Z would make the descent endless, so repeated factors
+    are first peeled off via gcd(Q, Q'); slopes add over any pointwise
+    factorization.  The depth cap remains as a backstop and surfaces as
+    DepthExceededError naming the residue chain.
     """
-    from .poly import integer_poly_gcd, poly_divexact
-
-    rep = integer_poly_gcd(q, q.derivative())
-    if rep.degree >= 1:
-        return exact_slope(poly_divexact(q, rep), p, depth_cap) + exact_slope(
-            rep, p, depth_cap
-        )
-    return _expected_valuation(q, p, depth_cap, ())
+    pv = p.value
+    total = Fraction(0)
+    stack: list[tuple[IntPolynomial, int, tuple[int, ...]]] = [(q, 1, ())]  # (R, p^d, chain)
+    while stack:
+        r, a, chain = stack.pop()
+        if not chain:
+            rep = integer_poly_gcd(r, r.derivative())
+            if rep.degree >= 1:
+                stack += [(rep, 1, ()), (poly_divexact(r, rep), 1, ())]
+                continue
+        if len(chain) >= depth_cap:
+            raise DepthExceededError(pv, chain)
+        m, r, simple, repeated = descent_step(r, p)
+        total += (m + Fraction(len(simple), pv - 1)) / a
+        stack += [(r.affine_substitute(pv, b), a * pv, chain + (b,)) for b in reversed(repeated)]
+    return total
 
 
 def asymptotic_zero_number(
@@ -98,17 +82,8 @@ def asymptotic_zero_number(
 
 
 def empirical_slope(spec: RecurrenceSpec, p: Prime, n: int) -> Fraction:
-    """(p-1)*valuation(t_n)/n exactly, at finite n.
-
-    Uses the counting engine when the prime qualifies, else the direct
-    oracle.
-    """
-    cls = classify_prime(spec.poly, p)
-    if cls.verdict is Verdict.NON_HENSEL:
-        v = valuation_tn_direct(spec, p, n)
-    else:
-        v = valuation_tn_fast(spec, p, n, classification=cls)
-    return Fraction((p.value - 1) * v, n)
+    """(p-1)*valuation(t_n)/n exactly, at finite n."""
+    return Fraction((p.value - 1) * valuation_tn(spec, p, n), n)
 
 
 @dataclass(frozen=True)
@@ -118,13 +93,13 @@ class ErrorSeries:
     err: tuple[int, ...]     # err[k] for n = k+1: z_p*n - (p-1)*valuation
     relerr: tuple[int, ...]  # first differences, with err[0] relative to 0
 
+    CSV_HEADER = ("n", "err", "relerr")
+
+    def rows(self) -> Iterable[tuple[int, int, int]]:
+        return zip(range(1, len(self.err) + 1), self.err, self.relerr)
+
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["n", "err", "relerr"])
-        for k in range(len(self.err)):
-            w.writerow([k + 1, self.err[k], self.relerr[k]])
-        return out.getvalue()
+        return write_csv(self.CSV_HEADER, self.rows())
 
     def to_json(self) -> dict:
         return {
@@ -136,17 +111,14 @@ class ErrorSeries:
 
 
 def error_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> ErrorSeries:
-    """Normalized error z_p*n - (p-1)*valuation and its first difference."""
-    from .recurrence import valuation_series
+    """Normalized error z_p*n - (p-1)*valuation and its first difference.
 
+    The difference at n is z_p - (p-1)*v_p(Q(n0+n)), and err its running sum.
+    """
     zp = len(roots_mod_p(spec.poly, p))
-    series = valuation_series(spec, p, n_max)
     pm1 = p.value - 1
-    err = tuple(zp * (k + 1) - pm1 * v for k, v in enumerate(series.values))
-    relerr = tuple(
-        err[k] - (err[k - 1] if k > 0 else 0) for k in range(len(err))
-    )
-    return ErrorSeries(p, zp, err, relerr)
+    relerr = tuple(zp - pm1 * v for v in term_valuations(spec, p, n_max))
+    return ErrorSeries(p, zp, tuple(accumulate(relerr)), relerr)
 
 
 @dataclass(frozen=True)
@@ -159,11 +131,12 @@ class AllResidues:
         return {"p": self.p.value, "verdict": "all_residues"}
 
 
-ScanResult = list[tuple[Prime, "PrimeClassification | AllResidues"]]
+ScanVerdict = "PrimeClassification | AllResidues"
+ScanResult = list[tuple[Prime, ScanVerdict]]
 
 
-def _scan_one(args) -> "PrimeClassification | AllResidues":
-    q, p, threshold = args
+def classify_or_all(q: IntPolynomial, p: Prime, threshold: int = SCAN_THRESHOLD) -> ScanVerdict:
+    """classify_prime, or AllResidues when p divides every coefficient."""
     try:
         return classify_prime(q, p, threshold)
     except PolynomialVanishesModP:
@@ -181,39 +154,49 @@ def scan_primes(
     With workers > 1 the classifications run in a process pool; output is
     identical to the sequential run.
     """
-    from .padic import SCAN_THRESHOLD
-
     threshold = SCAN_THRESHOLD if scan_threshold is None else scan_threshold
     primes = primes_first(count)
-    jobs = [(q, p, threshold) for p in primes]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_one, jobs, chunksize=64))
+            results = list(pool.map(classify_or_all, repeat(q), primes, repeat(threshold),
+                                    chunksize=64))
     else:
-        results = [_scan_one(j) for j in jobs]
+        results = [classify_or_all(q, p, threshold) for p in primes]
     return list(zip(primes, results))
 
 
 @dataclass(frozen=True)
 class SlopeReport:
     p: Prime
-    classification: PrimeClassification
+    classification: ScanVerdict
     predicted: "Fraction | None"    # per-n slope of the valuation
     n_p: "Fraction | None"          # asymptotic zero number
     empirical: tuple[tuple[int, Fraction], ...]
+
+    @classmethod
+    def of(
+        cls, spec: RecurrenceSpec, p: Prime, slope: "Fraction | None", sample_points: tuple[int, ...]
+    ) -> "SlopeReport":
+        """The report around an exact slope (None when unknown)."""
+        n_p = None if slope is None else (p.value - 1) * slope
+        empirical = tuple((n, empirical_slope(spec, p, n)) for n in sample_points)
+        return cls(p, classify_or_all(spec.poly, p), slope, n_p, empirical)
 
     def to_json(self) -> dict:
         return {
             "p": self.p.value,
             "classification": self.classification.to_json(),
-            "slope": _frac_str(self.predicted) if self.predicted is not None else None,
-            "N_p": _frac_str(self.n_p) if self.n_p is not None else None,
-            "empirical": [[n, _frac_str(v)] for n, v in self.empirical],
+            "slope": format_fraction(self.predicted),
+            "N_p": format_fraction(self.n_p),
+            "empirical": [[n, format_fraction(v)] for n, v in self.empirical],
         }
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def format_fraction(x: "Fraction | None") -> "str | None":
+    """Exact "num/den" text; None stays None."""
+    return None if x is None else f"{x.numerator}/{x.denominator}"
 
 
 def slope_report(
@@ -222,17 +205,12 @@ def slope_report(
     sample_points: tuple[int, ...] = (),
     depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> SlopeReport:
-    q = spec.poly
-    cls = classify_prime(q, p)
+    """Classification, exact slope and empirical slopes; a stalled descent leaves the slope None."""
     try:
-        e = exact_slope(q, p, depth_cap)
-        predicted: Fraction | None = e
-        n_p: Fraction | None = (p.value - 1) * e
+        slope = exact_slope(spec.poly, p, depth_cap)
     except DepthExceededError:
-        predicted = None
-        n_p = None
-    empirical = tuple((n, empirical_slope(spec, p, n)) for n in sample_points)
-    return SlopeReport(p, cls, predicted, n_p, empirical)
+        slope = None
+    return SlopeReport.of(spec, p, slope, sample_points)
 
 
 # -- closed forms for x^p +/- 1 and the cyclotomic-style sums -------------

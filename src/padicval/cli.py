@@ -8,15 +8,21 @@ success, 1 on domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from fractions import Fraction
+from typing import Callable, TextIO
 
 from . import analysis, padic, recurrence, reproduce
+from .analysis import format_fraction
 from .errors import PadicValError, ParseError
 from .parser import parse_poly
 from .poly import IntPolynomial, format_poly
+from .recurrence import write_csv
+
+# A command's output: its whole text, or a function writing it to a stream.
+Output = "str | Callable[[TextIO], object]"
 
 DEPTH_CAP_ENV = "PADICVAL_DEPTH_CAP"
 
@@ -47,22 +53,22 @@ def _default_depth_cap() -> int:
     return int(raw) if raw else analysis.DEFAULT_DEPTH_CAP
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(output: Output, out_path: str | None) -> None:
+    write = output if callable(output) else lambda fh: fh.write(output)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(str(c) for c in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _series_output(series, fmt: str) -> Output:
+    """A ValuationSeries or ErrorSeries, its rows streamed unless JSON."""
+    if fmt == "json":
+        return json.dumps(series.to_json(), sort_keys=True) + "\n"
+    if fmt == "csv":
+        return functools.partial(write_csv, series.CSV_HEADER, series.rows())
+    return lambda fh: fh.writelines(" ".join(map(str, row)) + "\n" for row in series.rows())
 
 
 def _add_common(sub, poly=True, prime=True):
@@ -128,13 +134,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = functools.cache(build_parser)
+
+
 def _cmd_roots(args) -> str:
     roots = padic.roots_mod_p(args.poly, args.prime)
     if args.format == "json":
         payload = {"p": args.prime.value, "poly": format_poly(args.poly), "roots": roots}
         return json.dumps(payload, sort_keys=True) + "\n"
     if args.format == "csv":
-        return _csv_lines(["root"], [[r] for r in roots])
+        return write_csv(["root"], [[r] for r in roots])
     return " ".join(str(r) for r in roots) + "\n"
 
 
@@ -143,7 +152,7 @@ def _cmd_classify(args) -> str:
     if args.format == "json":
         return json.dumps(cls.to_json(), sort_keys=True) + "\n"
     if args.format == "csv":
-        return _csv_lines(
+        return write_csv(
             ["p", "verdict", "roots", "non_hensel_roots"],
             [[cls.p.value, cls.verdict.value,
               ";".join(map(str, cls.roots)), ";".join(map(str, cls.non_hensel_roots))]],
@@ -162,8 +171,8 @@ def _cmd_lift(args) -> str:
         payload["value"] = value
         return json.dumps(payload, sort_keys=True) + "\n"
     if args.format == "csv":
-        return _csv_lines(["s", "digit", "truncation"],
-                          [[s, d, root.truncation_value(s)] for s, d in enumerate(root.digits)])
+        return write_csv(["s", "digit", "truncation"],
+                         [[s, d, root.truncation_value(s)] for s, d in enumerate(root.digits)])
     return f"digits={','.join(map(str, root.digits))} value={value}\n"
 
 
@@ -171,70 +180,55 @@ def _make_spec(args) -> recurrence.RecurrenceSpec:
     return recurrence.make_spec(args.poly, auto_shift=not getattr(args, "no_auto_shift", False))
 
 
+_ENGINES = {
+    "auto": recurrence.valuation_tn,
+    "fast": recurrence.valuation_tn_fast,
+    "direct": recurrence.valuation_tn_direct,
+}
+
+
 def _cmd_valuation(args) -> str:
-    spec = _make_spec(args)
-    if args.engine == "direct":
-        v = recurrence.valuation_tn_direct(spec, args.prime, args.n)
-    elif args.engine == "fast":
-        v = recurrence.valuation_tn_fast(spec, args.prime, args.n)
-    else:
-        cls = padic.classify_prime(args.poly, args.prime)
-        if cls.verdict is padic.Verdict.NON_HENSEL:
-            v = recurrence.valuation_tn_direct(spec, args.prime, args.n)
-        else:
-            v = recurrence.valuation_tn_fast(spec, args.prime, args.n, classification=cls)
+    v = _ENGINES[args.engine](_make_spec(args), args.prime, args.n)
     if args.format == "json":
         payload = {"p": args.prime.value, "poly": format_poly(args.poly),
                    "n": args.n, "valuation": v}
         return json.dumps(payload, sort_keys=True) + "\n"
     if args.format == "csv":
-        return _csv_lines(["n", "valuation"], [[args.n, v]])
+        return write_csv(["n", "valuation"], [[args.n, v]])
     return f"{v}\n"
 
 
-def _cmd_series(args) -> str:
-    spec = _make_spec(args)
-    series = recurrence.valuation_series(spec, args.prime, args.n_max)
-    if args.format == "json":
-        return json.dumps(series.to_json(), sort_keys=True) + "\n"
-    if args.format == "csv":
-        return series.to_csv()
-    return "".join(f"{k + 1} {v}\n" for k, v in enumerate(series.values))
+def _cmd_series(args) -> Output:
+    return _series_output(recurrence.valuation_series(_make_spec(args), args.prime, args.n_max),
+                          args.format)
 
 
 def _cmd_slope(args) -> str:
     depth_cap = args.depth_cap if args.depth_cap is not None else _default_depth_cap()
     spec = _make_spec(args)
     sample = (args.n,) if args.n else ()
-    if args.exact:
-        # let a stalled recursion propagate with its residue chain
-        analysis.exact_slope(args.poly, args.prime, depth_cap)
-    report = analysis.slope_report(spec, args.prime, sample_points=sample, depth_cap=depth_cap)
+    if args.exact:  # a stalled descent is an error naming its residue chain
+        slope = analysis.exact_slope(args.poly, args.prime, depth_cap)
+        report = analysis.SlopeReport.of(spec, args.prime, slope, sample)
+    else:
+        report = analysis.slope_report(spec, args.prime, sample_points=sample, depth_cap=depth_cap)
     if args.format == "json":
         return json.dumps(report.to_json(), sort_keys=True) + "\n"
     if args.format == "csv":
-        rows = [["exact", _frac(report.predicted) if report.predicted is not None else "",
-                 _frac(report.n_p) if report.n_p is not None else ""]]
-        rows += [[f"empirical_n={n}", _frac(v), ""] for n, v in report.empirical]
-        return _csv_lines(["kind", "E", "N"], rows)
+        rows = [["exact", format_fraction(report.predicted) or "", format_fraction(report.n_p) or ""]]
+        rows += [[f"empirical_n={n}", format_fraction(v), ""] for n, v in report.empirical]
+        return write_csv(["kind", "E", "N"], rows)
     parts = []
     if report.predicted is not None:
-        parts.append(f"E={_frac(report.predicted)} N={_frac(report.n_p)}")
+        parts.append(f"E={format_fraction(report.predicted)} N={format_fraction(report.n_p)}")
     for n, v in report.empirical:
-        parts.append(f"empirical(n={n})={_frac(v)}")
+        parts.append(f"empirical(n={n})={format_fraction(v)}")
     return " ".join(parts) + "\n"
 
 
-def _cmd_errors(args) -> str:
-    spec = _make_spec(args)
-    series = analysis.error_series(spec, args.prime, args.n_max)
-    if args.format == "json":
-        return json.dumps(series.to_json(), sort_keys=True) + "\n"
-    if args.format == "csv":
-        return series.to_csv()
-    return "".join(
-        f"{k + 1} {series.err[k]} {series.relerr[k]}\n" for k in range(len(series.err))
-    )
+def _cmd_errors(args) -> Output:
+    return _series_output(analysis.error_series(_make_spec(args), args.prime, args.n_max),
+                          args.format)
 
 
 def _cmd_scan(args) -> str:
@@ -249,7 +243,7 @@ def _cmd_scan(args) -> str:
             rows.append([p.value, c.verdict.value,
                          ";".join(map(str, c.roots)), ";".join(map(str, c.non_hensel_roots))])
     if args.format == "csv":
-        return _csv_lines(["p", "verdict", "roots", "non_hensel_roots"], rows)
+        return write_csv(["p", "verdict", "roots", "non_hensel_roots"], rows)
     return "".join(f"{r[0]} {r[1]} roots={r[2]} non_hensel={r[3]}\n" for r in rows)
 
 
@@ -274,19 +268,17 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "reproduce":
-            text, code = _cmd_reproduce(args)
-            _emit(text, args.out)
-            return code
-        text = _DISPATCH[args.command](args)
-    except PadicValError as e:
+            output, code = _cmd_reproduce(args)
+        else:
+            output, code = _DISPATCH[args.command](args), 0
+        _emit(output, args.out)
+    except (PadicValError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    _emit(text, args.out)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

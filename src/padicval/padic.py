@@ -1,8 +1,9 @@
 """Prime-level primitives.
 
 Integer valuations, base-p digit sums, the factorial-valuation formula,
-roots of a polynomial mod p, Hensel-zero classification, and digit-by-digit
-Hensel lifting.  Residues are canonicalized to [0, p-1] throughout.
+roots of a polynomial mod p, Hensel-zero classification, digit-by-digit
+Hensel lifting, and the node step of the p-adic descent.  Residues are
+canonicalized to [0, p-1] throughout.
 """
 
 from __future__ import annotations
@@ -363,12 +364,13 @@ class HenselRoot:
         return {"p": self.p.value, "digits": list(self.digits)}
 
 
-def hensel_lift(q: IntPolynomial, p: Prime, a: int, k: int) -> HenselRoot:
-    """Lift a simple root a of q mod p to a root mod p^(k+1).
+def hensel_digit(q: IntPolynomial, pv: int, gamma: int, ps: int, dinv: int) -> int:
+    """Next base-p digit of a simple root gamma of q mod ps = p^s; dinv = 1/q'(gamma) mod p."""
+    return (-(q.evaluate_mod(gamma, ps * pv) // ps) * dinv) % pv
 
-    Digit s solves a linear congruence whose coefficient is q'(a); its
-    inverse mod p is computed once.
-    """
+
+def hensel_lift(q: IntPolynomial, p: Prime, a: int, k: int) -> HenselRoot:
+    """Lift a simple root a of q mod p to a root mod p^(k+1)."""
     pv = p.value
     a %= pv
     if q.evaluate_mod(a, pv) != 0:
@@ -378,13 +380,37 @@ def hensel_lift(q: IntPolynomial, p: Prime, a: int, k: int) -> HenselRoot:
         raise NotSimpleRootError(f"derivative vanishes at {a} mod {pv}")
     dinv = pow(d, -1, pv)
     digits = [a]
-    gamma = a
-    ps = pv  # p^s
-    for s in range(1, k + 1):
-        mod = ps * pv  # p^(s+1)
-        t = q.evaluate_mod(gamma, mod) // ps
-        beta = (-t * dinv) % pv
-        digits.append(beta)
-        gamma += beta * ps
-        ps = mod
+    gamma, ps = a, pv  # the root mod p^s
+    for _ in range(k):
+        digits.append(hensel_digit(q, pv, gamma, ps, dinv))
+        gamma += digits[-1] * ps
+        ps *= pv
     return HenselRoot(p, tuple(digits))
+
+
+# -- the p-adic descent ---------------------------------------------------
+
+
+def descent_step(
+    r: IntPolynomial, p: Prime
+) -> tuple[int, IntPolynomial, list[tuple[int, int]], list[int]]:
+    """One node of the descent over residue classes: R = p^m * R0.
+
+    Returns m, R0 (not 0 mod p), its simple roots mod p paired with
+    1/R0'(b) mod p, and its non-simple roots, below which the descent
+    continues with R0(p*k + b).
+    """
+    pv = p.value
+    m = min(int_valuation(c, p) for c in r.coeffs if c)
+    if m:
+        r = r.exact_scalar_div(pv**m)
+    dr = r.derivative()
+    simple: list[tuple[int, int]] = []
+    repeated: list[int] = []
+    for b in roots_mod_p(r, p):
+        d = dr.evaluate_mod(b, pv)
+        if d:
+            simple.append((b, pow(d, -1, pv)))
+        else:
+            repeated.append(b)
+    return m, r, simple, repeated

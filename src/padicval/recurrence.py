@@ -2,21 +2,34 @@
 
 The sequence itself is never materialized (it has Theta(n log n) digits);
 every engine works on per-term valuations.  The direct engine is the
-oracle: evaluate Q at each index and strip powers of p.  The fast engine
-counts indices in congruence classes of lazily lifted roots and never
-touches individual terms.
+oracle: evaluate Q at each index and strip powers of p.  The tree engine
+walks the p-adic descent over residue classes and counts indices in
+congruence classes, touching at most one term per class.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Iterable, Iterator, TextIO
 
-from .errors import HasIntegerRootError, NotHenselPrimeError, ZeroPolynomialError
-from .padic import Prime, Verdict, classify_prime, int_valuation, roots_mod_p
+from .errors import HasIntegerRootError, NotHenselPrimeError, PolynomialVanishesModP, ZeroPolynomialError
+from .padic import Prime, Verdict, classify_prime, descent_step, hensel_digit, int_valuation, roots_mod_p
 from .poly import IntPolynomial, format_poly, nonneg_integer_roots
+
+
+def write_csv(header: Iterable, rows: Iterable[Iterable], out: TextIO | None = None) -> str | None:
+    """Header and rows as comma-separated lines, written to out as they come.
+
+    Without out the text is returned instead.
+    """
+    buf = io.StringIO() if out is None else out
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue() if out is None else None
 
 
 @dataclass(frozen=True)
@@ -57,9 +70,7 @@ def valuation_tn_direct(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     """Per-term oracle: sum of valuations of the n multipliers."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = spec.poly
-    pv = p.value
-    lo = spec.start_index
+    q, pv, lo = spec.poly, p.value, spec.start_index
     total = 0
     for i in range(lo + 1, lo + n + 1):
         v = q.evaluate(i)
@@ -69,45 +80,48 @@ def valuation_tn_direct(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     return total
 
 
-def valuation_tn_fast(
-    spec: RecurrenceSpec, p: Prime, n: int, classification=None
-) -> int:
-    """Exact valuation by congruence counting over lazily lifted roots.
+def valuation_tn(spec: RecurrenceSpec, p: Prime, n: int) -> int:
+    """Exact valuation at any prime, by an iterative walk over residue classes.
 
-    Requires every root of Q mod p to be simple: then the valuation of a
-    multiplier Q(i) equals the p-adic distance of i to the nearest lifted
-    root, and the term sum collapses to counts of indices in nested
-    congruence classes.  Each root is lifted one digit at a time, until
-    its congruence class no longer meets the window.
+    A node is R(k) = Q(A*k + B) / p^c on the k with n0 < A*k + B <= n0 + n
+    (A = p^depth).  Its stripped power p^m counts once per index; a simple
+    root of R mod p is lifted one Hensel digit at a time, each digit
+    counting the indices of its class; a non-simple root b becomes the
+    child R(p*k + b).  A class of one index is evaluated directly, so the
+    depth stays within log_p(n0 + n) + 1 even for repeated factors.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = spec.poly
-    pv = p.value
-    cls = classification if classification is not None else classify_prime(q, p)
-    if cls.verdict is Verdict.NO_ROOTS:
-        return 0
-    if cls.verdict is not Verdict.HENSEL:
-        raise NotHenselPrimeError(
-            f"{pv} is not a Hensel prime for {q}; use the direct engine"
-        )
-    dq = q.derivative()
-    lo = spec.start_index
+    pv, lo = p.value, spec.start_index
     total = 0
-    for b in cls.roots:
-        dinv = pow(dq.evaluate_mod(b, pv), -1, pv)
-        gamma = b
-        ps = pv  # p^s, the modulus at the current level
-        while True:
-            c = count_congruent(n, gamma % ps, ps, lo)
-            if c == 0:
-                break
-            total += c
-            mod = ps * pv
-            t = q.evaluate_mod(gamma, mod) // ps
-            gamma += ((-t * dinv) % pv) * ps
-            ps = mod
+    stack = [(spec.poly, 1, 0)]  # (R, A, B) with 0 <= B < A
+    while stack:
+        r, a, b = stack.pop()
+        size = count_congruent(n, b, a, lo)
+        if size <= 1:
+            if size:
+                i = lo + 1 + (b - lo - 1) % a
+                total += int_valuation(r.evaluate((i - b) // a), p)
+            continue
+        m, r, simple, repeated = descent_step(r, p)
+        total += m * size
+        stack.extend((r.affine_substitute(pv, root), a * pv, a * root + b) for root in repeated)
+        for gamma, dinv in simple:
+            ps = pv  # gamma is the root mod p^s
+            while c := count_congruent(n, a * gamma + b, a * ps, lo):
+                total += c
+                gamma += hensel_digit(r, pv, gamma, ps, dinv) * ps
+                ps *= pv
     return total
+
+
+def valuation_tn_fast(spec: RecurrenceSpec, p: Prime, n: int) -> int:
+    """valuation_tn, refused unless every root of Q mod p is simple."""
+    if classify_prime(spec.poly, p).verdict is Verdict.NON_HENSEL:
+        raise NotHenselPrimeError(
+            f"{p} is not a Hensel prime for {spec.poly}; use the direct engine"
+        )
+    return valuation_tn(spec, p, n)
 
 
 @dataclass(frozen=True)
@@ -116,16 +130,16 @@ class ValuationSeries:
     spec: RecurrenceSpec
     values: tuple[int, ...]  # values[k] is the valuation of t_{k+1}
 
+    CSV_HEADER = ("n", "valuation")
+
     def __len__(self) -> int:
         return len(self.values)
 
+    def rows(self) -> Iterable[tuple[int, int]]:
+        return enumerate(self.values, start=1)
+
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["n", "valuation"])
-        for k, v in enumerate(self.values, start=1):
-            w.writerow([k, v])
-        return out.getvalue()
+        return write_csv(self.CSV_HEADER, self.rows())
 
     def to_json(self) -> dict:
         return {
@@ -136,45 +150,28 @@ class ValuationSeries:
         }
 
 
-def valuation_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> ValuationSeries:
-    """Prefix sums of the per-term valuations, one multiplier per step.
+def term_valuations(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[int]:
+    """v_p(Q(i)) for i = n0+1 .. n0+n, in order.
 
-    Indices whose residue mod p is not a root contribute nothing and are
-    skipped without an exact evaluation.
+    Indices whose residue mod p is not a root are 0 without an exact
+    evaluation.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    q = spec.poly
-    pv = p.value
-    lo = spec.start_index
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    q, pv, lo = spec.poly, p.value, spec.start_index
     try:
-        root_set = set(roots_mod_p(q, p))
-    except Exception:
-        root_set = None  # Q = 0 mod p: every index contributes
-    values = []
-    acc = 0
-    for i in range(lo + 1, lo + n_max + 1):
-        if root_set is None or (i % pv) in root_set:
-            acc += int_valuation(q.evaluate(i), p)
-        values.append(acc)
-    return ValuationSeries(p, spec, tuple(values))
+        roots = set(roots_mod_p(q, p))
+    except PolynomialVanishesModP:
+        roots = None  # Q = 0 mod p: every index contributes
+    return (int_valuation(q.evaluate(i), p) if roots is None or i % pv in roots else 0
+            for i in range(lo + 1, lo + n + 1))
+
+
+def valuation_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> ValuationSeries:
+    """Prefix sums of the per-term valuations, one multiplier per step."""
+    return ValuationSeries(p, spec, tuple(accumulate(term_valuations(spec, p, n_max))))
 
 
 def max_power_index(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     """Largest e with p^e dividing some multiplier in the window (r_n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    q = spec.poly
-    pv = p.value
-    try:
-        root_set = set(roots_mod_p(q, p))
-    except Exception:
-        root_set = None
-    if root_set is not None and not root_set:
-        return 0
-    lo = spec.start_index
-    best = 0
-    for i in range(lo + 1, lo + n + 1):
-        if root_set is None or (i % pv) in root_set:
-            best = max(best, int_valuation(q.evaluate(i), p))
-    return best
+    return max(term_valuations(spec, p, n))

@@ -79,6 +79,11 @@ class TestExactSlope:
             assert exact_slope(q, p) == Fraction(cls.z_p, p.value - 1)
             checked += 1
 
+    def test_p_divides_content(self):
+        # 5(x+1)(x+6): v_5(5) per index, plus the descent below the double root 4
+        assert exact_slope(IntPolynomial([30, 35, 5]), P5) == Fraction(3, 2)
+        assert exact_slope(IntPolynomial([9]), P3) == 2
+
     def test_depth_cap_diagnostic(self):
         # a tight cap names the stalled residue chain
         with pytest.raises(DepthExceededError) as e:

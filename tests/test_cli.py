@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from padicval import cli
 from padicval.cli import main
 
 
@@ -75,6 +77,20 @@ class TestValuation:
                            "--n", "10", "--engine", "fast")
         assert code == 1
 
+    def test_p_divides_content(self, capsys):
+        code, out, _ = run(capsys, "valuation", "--poly", "3x^2+3", "--prime", "3",
+                           "--n", "1000")
+        assert (code, out) == (0, "1000\n")
+
+    @pytest.mark.parametrize("p, slope", [(3, Fraction(4, 3)), (11, Fraction(3, 10)),
+                                          (29, Fraction(57, 812))])
+    def test_non_hensel_at_huge_n(self, capsys, p, slope):
+        n = 10**100
+        code, out, _ = run(capsys, "valuation", "--poly", "x^5+2x^3+3", "--prime", str(p),
+                           "--n", str(n))
+        assert code == 0
+        assert abs(Fraction(int(out), n) - slope) < Fraction(1, 10**95)
+
     def test_integer_root_without_shift(self, capsys):
         code, _, _ = run(capsys, "valuation", "--poly", "x-3", "--prime", "2",
                          "--n", "5", "--no-auto-shift")
@@ -95,6 +111,18 @@ class TestSeries:
         assert out == ""
         assert target.read_text() == "n,valuation\n1,0\n2,1\n3,1\n4,3\n"
 
+    def test_unwritable_out_is_domain_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "series.csv"
+        code, out, err = run(capsys, "series", "--poly", "x", "--prime", "2",
+                             "--n-max", "4", "--format", "csv", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_table_streamed(self, capsys):
+        _, out, _ = run(capsys, "series", "--poly", "x^2+1", "--prime", "5", "--n-max", "3")
+        assert out == "1 0\n2 1\n3 2\n"
+
 
 class TestSlope:
     def test_exact_example2(self, capsys):
@@ -102,6 +130,16 @@ class TestSlope:
                            "--exact")
         assert code == 0
         assert out == "E=57/812 N=57/29\n"
+
+    def test_exact_p_divides_content(self, capsys):
+        code, out, _ = run(capsys, "slope", "--poly", "5x^2+35x+30", "--prime", "5",
+                           "--exact")
+        assert (code, out) == (0, "E=3/2 N=6/1\n")
+
+    def test_exact_csv_with_empirical(self, capsys):
+        code, out, _ = run(capsys, "slope", "--poly", "x", "--prime", "2", "--exact",
+                           "--n", "4", "--format", "csv")
+        assert (code, out) == (0, "kind,E,N\nexact,1/1,1/1\nempirical_n=4,3/4,\n")
 
     def test_depth_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "slope", "--poly", "x^5+2x^3+3", "--prime", "3",
@@ -121,6 +159,10 @@ class TestErrors:
         _, out, _ = run(capsys, "errors", "--poly", "x", "--prime", "2",
                         "--n-max", "3", "--format", "csv")
         assert out == "n,err,relerr\n1,1,1\n2,1,0\n3,2,1\n"
+
+    def test_table(self, capsys):
+        _, out, _ = run(capsys, "errors", "--poly", "x", "--prime", "2", "--n-max", "3")
+        assert out == "1 1 1\n2 1 0\n3 2 1\n"
 
 
 class TestScan:
@@ -171,3 +213,9 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as e:
             main([])
         assert e.value.code == 2
+
+    def test_parser_is_built_once_and_reused(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["roots", "--poly", "x", "--prime", "6"])
+        assert run(capsys, "roots", "--poly", "x^2+1", "--prime", "5")[:2] == (0, "2 3\n")
+        assert cli._parser.cache_info().misses == 1

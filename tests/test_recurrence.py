@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicval.errors import HasIntegerRootError, NotHenselPrimeError, ZeroPolynomialError
-from padicval.padic import Prime, Verdict, classify_prime, digit_sum, int_valuation
+from padicval.padic import Prime, Verdict, classify_prime, digit_sum, int_valuation, is_prime
 from padicval.poly import IntPolynomial
 from padicval.recurrence import (
     RecurrenceSpec,
@@ -11,6 +13,7 @@ from padicval.recurrence import (
     make_spec,
     max_power_index,
     valuation_series,
+    valuation_tn,
     valuation_tn_direct,
     valuation_tn_fast,
 )
@@ -135,6 +138,56 @@ class TestFast:
         assert valuation_tn_direct(spec, P2, 8) == int_valuation(
             2 * 3 * 4 * 5 * 6 * 7 * 8, P2
         )
+
+
+PRIMES_BELOW_100 = [p for p in range(2, 100) if is_prime(p)]
+
+
+@st.composite
+def tree_cases(draw):
+    """(spec, p, n): random Q or a product of linear factors, one of them
+    repeated, times a constant that p may divide once or twice."""
+    p = draw(st.sampled_from(PRIMES_BELOW_100))
+    if draw(st.booleans()):
+        q = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=7)
+                 .map(IntPolynomial).filter(bool))
+    else:
+        linear = st.tuples(st.integers(-30, 30), st.sampled_from((1, 2, 3, p, 2 * p)))
+        factors = draw(st.lists(linear, min_size=1, max_size=4))
+        q = IntPolynomial([1])
+        for k, (b, a) in enumerate(factors):
+            q = q * IntPolynomial([b, a]) ** (draw(st.integers(2, 3)) if k == 0 else 1)
+        if q.is_zero:
+            q = IntPolynomial([1])
+    q = q * draw(st.sampled_from((1, -2, p, -p, p * p, 3 * p * p)))
+    return make_spec(q), Prime(p), draw(st.integers(1, 2000))
+
+
+class TestTree:
+    @settings(max_examples=300, deadline=None)
+    @given(tree_cases())
+    def test_equals_direct(self, case):
+        spec, p, n = case
+        assert valuation_tn(spec, p, n) == valuation_tn_direct(spec, p, n)
+
+    def test_p_divides_content(self):
+        spec = make_spec(IntPolynomial([3, 0, 3]))  # 3(x^2+1); x^2+1 has no root mod 3
+        assert valuation_tn(spec, P3, 1000) == 1000
+
+    def test_repeated_factor_at_huge_n(self):
+        # (x+1)^2 at p=2: twice the valuation of (n+1)!, by Legendre's formula
+        spec = make_spec(IntPolynomial([1, 2, 1]))
+        n = 10**60
+        assert valuation_tn(spec, P2, n) == 2 * (n + 1 - digit_sum(n + 1, P2))
+
+    def test_fast_is_the_tree_at_hensel_primes(self):
+        spec = make_spec(Q1)
+        assert valuation_tn_fast(spec, P5, 10**40) == valuation_tn(spec, P5, 10**40)
+
+    @pytest.mark.parametrize("pv", [3, 11, 29])
+    def test_paper_non_hensel_primes(self, pv):
+        spec = make_spec(Q1)
+        assert valuation_tn(spec, Prime(pv), 3000) == valuation_tn_direct(spec, Prime(pv), 3000)
 
 
 class TestSeries:
