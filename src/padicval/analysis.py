@@ -17,7 +17,6 @@ from typing import Iterable
 
 from .errors import DepthExceededError, NotHenselPrimeError, PolynomialVanishesModP, ValuationOfZeroError
 from .padic import (
-    SCAN_THRESHOLD,
     Prime,
     PrimeClassification,
     Verdict,
@@ -114,8 +113,12 @@ def error_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> ErrorSeries:
     """Normalized error z_p*n - (p-1)*valuation and its first difference.
 
     The difference at n is z_p - (p-1)*v_p(Q(n0+n)), and err its running sum.
+    When p divides every coefficient, every residue is a root: z_p = p.
     """
-    zp = len(roots_mod_p(spec.poly, p))
+    try:
+        zp = len(roots_mod_p(spec.poly, p))
+    except PolynomialVanishesModP:
+        zp = p.value
     pm1 = p.value - 1
     relerr = tuple(zp - pm1 * v for v in term_valuations(spec, p, n_max))
     return ErrorSeries(p, zp, tuple(accumulate(relerr)), relerr)
@@ -135,35 +138,28 @@ ScanVerdict = "PrimeClassification | AllResidues"
 ScanResult = list[tuple[Prime, ScanVerdict]]
 
 
-def classify_or_all(q: IntPolynomial, p: Prime, threshold: int = SCAN_THRESHOLD) -> ScanVerdict:
+def classify_or_all(q: IntPolynomial, p: Prime) -> ScanVerdict:
     """classify_prime, or AllResidues when p divides every coefficient."""
     try:
-        return classify_prime(q, p, threshold)
+        return classify_prime(q, p)
     except PolynomialVanishesModP:
         return AllResidues(p)
 
 
-def scan_primes(
-    q: IntPolynomial,
-    count: int,
-    scan_threshold: int | None = None,
-    workers: int = 1,
-) -> ScanResult:
+def scan_primes(q: IntPolynomial, count: int, workers: int = 1) -> ScanResult:
     """Classify q at each of the first `count` primes, in prime order.
 
     With workers > 1 the classifications run in a process pool; output is
     identical to the sequential run.
     """
-    threshold = SCAN_THRESHOLD if scan_threshold is None else scan_threshold
     primes = primes_first(count)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(classify_or_all, repeat(q), primes, repeat(threshold),
-                                    chunksize=64))
+            results = list(pool.map(classify_or_all, repeat(q), primes, chunksize=64))
     else:
-        results = [classify_or_all(q, p, threshold) for p in primes]
+        results = [classify_or_all(q, p) for p in primes]
     return list(zip(primes, results))
 
 

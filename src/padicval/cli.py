@@ -48,9 +48,19 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _nonneg_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return n
+
+
 def _default_depth_cap() -> int:
     raw = os.environ.get(DEPTH_CAP_ENV)
-    return int(raw) if raw else analysis.DEFAULT_DEPTH_CAP
+    try:  # --depth-cap's rule; a bad value is a usage error
+        return _positive_int(raw) if raw else analysis.DEFAULT_DEPTH_CAP
+    except (ValueError, argparse.ArgumentTypeError):
+        _parser().error(f"{DEPTH_CAP_ENV} must be an integer >= 1, got {raw!r}")
 
 
 def _emit(output: Output, out_path: str | None) -> None:
@@ -96,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("lift", help="lift a simple root mod p to higher precision")
     _add_common(s)
     s.add_argument("--root", type=int, required=True, help="base residue mod p")
-    s.add_argument("--precision", type=int, default=8, help="extra digits k; result is exact mod p^(k+1)")
+    s.add_argument("--precision", type=_nonneg_int, default=8, help="extra digits k; result is exact mod p^(k+1)")
 
     s = sp.add_parser("valuation", help="valuation of t_n")
     _add_common(s)

@@ -309,15 +309,13 @@ class PrimeClassification:
         }
 
 
-def classify_prime(
-    q: IntPolynomial, p: Prime, scan_threshold: int = SCAN_THRESHOLD
-) -> PrimeClassification:
+def classify_prime(q: IntPolynomial, p: Prime) -> PrimeClassification:
     """Root census mod p with the simple/non-simple split.
 
     A prime with no roots gets its own verdict: by convention a prime
     only counts as Hensel when at least one root exists.
     """
-    roots = roots_mod_p(q, p, scan_threshold)
+    roots = roots_mod_p(q, p)
     dq = q.derivative()
     bad = tuple(b for b in roots if dq.evaluate_mod(b, p.value) == 0)
     if not roots:

@@ -225,21 +225,19 @@ def poly_divexact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Quotient a / b when b divides a exactly in Z[x]; raises otherwise."""
     if b.is_zero:
         raise ZeroPolynomialError("division by zero polynomial")
-    from fractions import Fraction
-
-    r = [Fraction(c) for c in a.coeffs]
-    db = b.degree
-    lc = Fraction(b.leading)
-    q = [Fraction(0)] * max(len(r) - db, 0)
+    r = list(a.coeffs)
+    db, lc = b.degree, b.leading
+    q = [0] * max(len(r) - db, 0)
     for i in range(len(r) - 1, db - 1, -1):
-        c = r[i] / lc
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                r[i - db + j] -= c * b[j]
-    if any(r) or any(c.denominator != 1 for c in q):
+        c, rem = divmod(r[i], lc)
+        if rem:
+            raise ValueError(f"{b} does not divide {a} exactly")
+        q[i - db] = c
+        for j in range(db + 1):
+            r[i - db + j] -= c * b[j]
+    if any(r):
         raise ValueError(f"{b} does not divide {a} exactly")
-    return IntPolynomial(int(c) for c in q)
+    return IntPolynomial(q)
 
 
 def _positive_divisors(n: int) -> list[int]:

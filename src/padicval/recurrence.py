@@ -2,9 +2,9 @@
 
 The sequence itself is never materialized (it has Theta(n log n) digits);
 every engine works on per-term valuations.  The direct engine is the
-oracle: evaluate Q at each index and strip powers of p.  The tree engine
-walks the p-adic descent over residue classes and counts indices in
-congruence classes, touching at most one term per class.
+oracle: evaluate Q at each index and strip powers of p.  Everything else
+reads one walk of the p-adic descent over the window's residue classes,
+which evaluates at most one term per class.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, TextIO
 
-from .errors import HasIntegerRootError, NotHenselPrimeError, PolynomialVanishesModP, ZeroPolynomialError
-from .padic import Prime, Verdict, classify_prime, descent_step, hensel_digit, int_valuation, roots_mod_p
+from .errors import HasIntegerRootError, NotHenselPrimeError, ZeroPolynomialError
+from .padic import Prime, Verdict, classify_prime, descent_step, hensel_digit, int_valuation
 from .poly import IntPolynomial, format_poly, nonneg_integer_roots
 
 
@@ -80,6 +80,32 @@ def valuation_tn_direct(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     return total
 
 
+def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[int, int, int, int]]:
+    """The walk behind valuation_tn, class by class, as (A, B, w, c): each
+    of the c window indices i = B mod A gains w (0 <= B < A)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    pv, lo = p.value, spec.start_index
+    stack = [(spec.poly, 1, 0)]  # (R, A, B) with 0 <= B < A
+    while stack:
+        r, a, b = stack.pop()
+        size = count_congruent(n, b, a, lo)
+        if size <= 1:
+            if size:  # its one index is A*k + B for the first k with A*k + B > n0
+                yield a, b, int_valuation(r.evaluate((lo - b) // a + 1), p), 1
+            continue
+        m, r, simple, repeated = descent_step(r, p)
+        if m:
+            yield a, b, m, size
+        stack.extend((r.affine_substitute(pv, root), a * pv, a * root + b) for root in repeated)
+        for gamma, dinv in simple:
+            ps = pv  # gamma is the root mod p^s
+            while c := count_congruent(n, a * gamma + b, a * ps, lo):
+                yield a * ps, a * gamma + b, 1, c
+                gamma += hensel_digit(r, pv, gamma, ps, dinv) * ps
+                ps *= pv
+
+
 def valuation_tn(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     """Exact valuation at any prime, by an iterative walk over residue classes.
 
@@ -90,29 +116,7 @@ def valuation_tn(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     child R(p*k + b).  A class of one index is evaluated directly, so the
     depth stays within log_p(n0 + n) + 1 even for repeated factors.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pv, lo = p.value, spec.start_index
-    total = 0
-    stack = [(spec.poly, 1, 0)]  # (R, A, B) with 0 <= B < A
-    while stack:
-        r, a, b = stack.pop()
-        size = count_congruent(n, b, a, lo)
-        if size <= 1:
-            if size:
-                i = lo + 1 + (b - lo - 1) % a
-                total += int_valuation(r.evaluate((i - b) // a), p)
-            continue
-        m, r, simple, repeated = descent_step(r, p)
-        total += m * size
-        stack.extend((r.affine_substitute(pv, root), a * pv, a * root + b) for root in repeated)
-        for gamma, dinv in simple:
-            ps = pv  # gamma is the root mod p^s
-            while c := count_congruent(n, a * gamma + b, a * ps, lo):
-                total += c
-                gamma += hensel_digit(r, pv, gamma, ps, dinv) * ps
-                ps *= pv
-    return total
+    return sum(w * c for _, _, w, c in residue_classes(spec, p, n))
 
 
 def valuation_tn_fast(spec: RecurrenceSpec, p: Prime, n: int) -> int:
@@ -150,21 +154,14 @@ class ValuationSeries:
         }
 
 
-def term_valuations(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[int]:
-    """v_p(Q(i)) for i = n0+1 .. n0+n, in order.
-
-    Indices whose residue mod p is not a root are 0 without an exact
-    evaluation.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    q, pv, lo = spec.poly, p.value, spec.start_index
-    try:
-        roots = set(roots_mod_p(q, p))
-    except PolynomialVanishesModP:
-        roots = None  # Q = 0 mod p: every index contributes
-    return (int_valuation(q.evaluate(i), p) if roots is None or i % pv in roots else 0
-            for i in range(lo + 1, lo + n + 1))
+def term_valuations(spec: RecurrenceSpec, p: Prime, n: int) -> list[int]:
+    """v_p(Q(i)) for i = n0+1 .. n0+n, in order, filled one residue class at a time."""
+    lo = spec.start_index
+    values = [0] * n
+    for a, b, w, _ in residue_classes(spec, p, n):
+        start = (b - lo - 1) % a
+        values[start::a] = [v + w for v in values[start::a]]
+    return values
 
 
 def valuation_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> ValuationSeries:

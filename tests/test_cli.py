@@ -1,10 +1,17 @@
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicval import cli
 from padicval.cli import main
+from padicval.poly import IntPolynomial, format_poly
 
 
 def run(capsys, *argv):
@@ -51,6 +58,14 @@ class TestLift:
                            "--root", "2", "--precision", "2")
         assert code == 0
         assert out == "digits=2,1,2 value=57\n"
+
+    def test_negative_precision_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["lift", "--poly", "x^2+1", "--prime", "5", "--root", "2", "--precision", "-3"])
+        assert e.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+        assert run(capsys, "lift", "--poly", "x^2+1", "--prime", "5", "--root", "2",
+                   "--precision", "0")[:2] == (0, "digits=2 value=2\n")
 
     def test_not_simple_is_domain_error(self, capsys):
         code, _, err = run(capsys, "lift", "--poly", "x^3+1", "--prime", "3",
@@ -153,6 +168,14 @@ class TestSlope:
                          "--exact")
         assert code == 1
 
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_env_depth_cap_is_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("PADICVAL_DEPTH_CAP", raw)
+        with pytest.raises(SystemExit) as e:
+            main(["slope", "--poly", "x", "--prime", "2", "--exact"])
+        assert e.value.code == 2
+        assert "PADICVAL_DEPTH_CAP" in capsys.readouterr().err
+
 
 class TestErrors:
     def test_csv(self, capsys):
@@ -163,6 +186,12 @@ class TestErrors:
     def test_table(self, capsys):
         _, out, _ = run(capsys, "errors", "--poly", "x", "--prime", "2", "--n-max", "3")
         assert out == "1 1 1\n2 1 0\n3 2 1\n"
+
+    def test_p_divides_content(self, capsys):
+        # 3(x^2+1) at p=3: every residue is a root (z_p = 3) and each term has valuation 1
+        code, out, _ = run(capsys, "errors", "--poly", "3x^2+3", "--prime", "3",
+                           "--n-max", "4", "--format", "csv")
+        assert (code, out) == (0, "n,err,relerr\n1,1,1\n2,2,1\n3,3,1\n4,4,1\n")
 
 
 class TestScan:
@@ -219,3 +248,76 @@ class TestUsageErrors:
             main(["roots", "--poly", "x", "--prime", "6"])
         assert run(capsys, "roots", "--poly", "x^2+1", "--prime", "5")[:2] == (0, "2 3\n")
         assert cli._parser.cache_info().misses == 1
+
+
+# -- fuzz: argv drawn from the subcommand grammar -------------------------
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+_POLY_TEXT = st.one_of(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=9)
+    .map(lambda c: format_poly(IntPolynomial(c))),
+    st.sampled_from(["0", "7", "3x^2+3", "x^5+2x^3+3", "x^2 + 1", "-x", "5x^2+35x+30"]),
+)
+_COMMON = [("--poly", _POLY_TEXT, True),
+           ("--prime", st.sampled_from(["2", "3", "5", "7", "11", "29", "97", "1000003"]), True),
+           ("--format", st.sampled_from(["csv", "json", "table"]), False)]
+# Options of each subcommand: (flag, value strategy or None for a switch, required).
+_GRAMMAR = {
+    "roots": _COMMON,
+    "classify": _COMMON,
+    "lift": _COMMON + [("--root", _ints(-10, 100), True), ("--precision", _ints(-5, 50), False)],
+    "valuation": _COMMON + [("--n", _ints(1, 10**4), True),
+                            ("--engine", st.sampled_from(["auto", "fast", "direct"]), False),
+                            ("--no-auto-shift", None, False)],
+    "series": _COMMON + [("--n-max", _ints(1, 200), True), ("--no-auto-shift", None, False)],
+    "slope": _COMMON + [("--exact", None, False), ("--n", _ints(1, 10**4), False),
+                        ("--depth-cap", _ints(1, 70), False)],
+    "errors": _COMMON + [("--n-max", _ints(1, 200), True), ("--no-auto-shift", None, False)],
+    "scan": [_COMMON[0], _COMMON[2], ("--count", _ints(1, 50), True)],
+    "reproduce": [],
+}
+_JUNK = ["(bad", "", "x^", "x^1.5", "2x^-1", "-5", "0", "6", "abc", "xml", "--bogus"]
+
+
+@st.composite
+def cli_draws(draw):
+    """(argv, PADICVAL_DEPTH_CAP or None): a well-formed command, in about
+    one draw in five with one token replaced by junk or dropped."""
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [command]
+    if command == "reproduce":
+        argv.append(draw(st.sampled_from(["all", "example1", "example2", "example3", "example4",
+                                          "legendre"])))
+    for flag, values, required in _GRAMMAR[command]:
+        if required or draw(st.booleans()):  # "--poly=-x", as "--poly -x" reads as a flag
+            argv.append(flag if values is None else f"{flag}={draw(values)}")
+    if len(argv) > 1 and draw(st.integers(0, 4)) == 2:  # 2, not 0: draws lean to the bounds
+        k = draw(st.integers(1, len(argv) - 1))
+        argv[k:k + 1] = draw(st.sampled_from([[], *([junk] for junk in _JUNK)]))
+    if command == "reproduce":
+        argv.append(f"--scan-count={draw(st.integers(1, 50))}")  # the default 5000 takes seconds
+    if command in ("scan", "reproduce"):
+        argv += ["--workers", "1"]  # never start processes
+    env = draw(st.sampled_from([None, "", "1", "3", "64", "0", "-2", "abc", " 5", "1e3"]))
+    return argv, env
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(cli_draws())
+    def test_every_draw_exits_cleanly(self, draw):
+        argv, env = draw
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+            os.environ.pop("PADICVAL_DEPTH_CAP", None)
+            if env is not None:
+                os.environ["PADICVAL_DEPTH_CAP"] = env
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        assert code in (0, 1, 2), (argv, env, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

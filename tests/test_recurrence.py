@@ -12,6 +12,7 @@ from padicval.recurrence import (
     count_congruent,
     make_spec,
     max_power_index,
+    term_valuations,
     valuation_series,
     valuation_tn,
     valuation_tn_direct,
@@ -168,7 +169,12 @@ class TestTree:
     @given(tree_cases())
     def test_equals_direct(self, case):
         spec, p, n = case
-        assert valuation_tn(spec, p, n) == valuation_tn_direct(spec, p, n)
+        v = valuation_tn(spec, p, n)
+        assert v == valuation_tn_direct(spec, p, n)
+        lo = spec.start_index
+        assert term_valuations(spec, p, n) == [int_valuation(spec.poly.evaluate(i), p)
+                                               for i in range(lo + 1, lo + n + 1)]
+        assert valuation_series(spec, p, n).values[-1] == v
 
     def test_p_divides_content(self):
         spec = make_spec(IntPolynomial([3, 0, 3]))  # 3(x^2+1); x^2+1 has no root mod 3
