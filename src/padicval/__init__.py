@@ -1,7 +1,6 @@
 """Prime valuations of product sequences t_n = Q(n) * t_{n-1}."""
 
 from .analysis import (
-    AllResidues,
     ErrorSeries,
     SlopeReport,
     asymptotic_zero_number,

@@ -15,36 +15,28 @@ from itertools import accumulate, repeat
 from math import gcd
 from typing import Iterable
 
-from .errors import DepthExceededError, NotHenselPrimeError, PolynomialVanishesModP, ValuationOfZeroError
+from .errors import DepthExceededError, NotHenselPrimeError, ValuationOfZeroError
 from .padic import (
     Prime,
     PrimeClassification,
-    Verdict,
     classify_prime,
     descent_step,
     int_valuation,
     primes_first,
-    roots_mod_p,
 )
 from .poly import IntPolynomial, integer_poly_gcd, poly_divexact
 from .recurrence import RecurrenceSpec, term_valuations, valuation_tn, write_csv
-
-DEFAULT_DEPTH_CAP = 64
 
 
 def predicted_slope_hensel(q: IntPolynomial, p: Prime) -> Fraction:
     """Per-n slope z_p/(p-1) at a Hensel (or rootless) prime."""
     cls = classify_prime(q, p)
-    if cls.verdict is Verdict.NON_HENSEL:
-        raise NotHenselPrimeError(
-            f"{p} has non-simple roots {list(cls.non_hensel_roots)} for {q}"
-        )
+    if not cls.all_roots_simple:
+        raise NotHenselPrimeError(f"{p} is not a Hensel prime for {q} ({cls.verdict.value})")
     return Fraction(cls.z_p, p.value - 1)
 
 
-def exact_slope(
-    q: IntPolynomial, p: Prime, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> Fraction:
+def exact_slope(q: IntPolynomial, p: Prime, depth_cap: "int | None" = None) -> Fraction:
     """Exact per-n slope E = lim valuation(t_n)/n, as a fraction.
 
     The limit of valuation_tn's descent, with densities for window counts:
@@ -52,7 +44,9 @@ def exact_slope(
     p^m adds m/p^d and each simple root adds 1/((p-1)p^d).  A factor
     repeated over Z would make the descent endless, so repeated factors
     are first peeled off via gcd(Q, Q'); slopes add over any pointwise
-    factorization.  The depth cap remains as a backstop and surfaces as
+    factorization.  Each peeled piece is squarefree, so its descent ends:
+    an endless residue chain would converge to a p-adic alpha with
+    Q(alpha) = Q'(alpha) = 0.  An explicit depth cap surfaces as
     DepthExceededError naming the residue chain.
     """
     pv = p.value
@@ -65,7 +59,7 @@ def exact_slope(
             if rep.degree >= 1:
                 stack += [(rep, 1, ()), (poly_divexact(r, rep), 1, ())]
                 continue
-        if len(chain) >= depth_cap:
+        if depth_cap is not None and len(chain) >= depth_cap:
             raise DepthExceededError(pv, chain)
         m, r, simple, repeated = descent_step(r, p)
         total += (m + Fraction(len(simple), pv - 1)) / a
@@ -73,9 +67,7 @@ def exact_slope(
     return total
 
 
-def asymptotic_zero_number(
-    q: IntPolynomial, p: Prime, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> Fraction:
+def asymptotic_zero_number(q: IntPolynomial, p: Prime, depth_cap: "int | None" = None) -> Fraction:
     """N_p = (p-1) * E, the limit of (p-1)*valuation/n."""
     return (p.value - 1) * exact_slope(q, p, depth_cap)
 
@@ -113,40 +105,16 @@ def error_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> ErrorSeries:
     """Normalized error z_p*n - (p-1)*valuation and its first difference.
 
     The difference at n is z_p - (p-1)*v_p(Q(n0+n)), and err its running sum.
-    When p divides every coefficient, every residue is a root: z_p = p.
     """
-    try:
-        zp = len(roots_mod_p(spec.poly, p))
-    except PolynomialVanishesModP:
-        zp = p.value
+    zp = classify_prime(spec.poly, p).z_p
     pm1 = p.value - 1
     relerr = tuple(zp - pm1 * v for v in term_valuations(spec, p, n_max))
     return ErrorSeries(p, zp, tuple(accumulate(relerr)), relerr)
 
 
-@dataclass(frozen=True)
-class AllResidues:
-    """Marker for primes dividing every coefficient: all residues are roots."""
-
-    p: Prime
-
-    def to_json(self) -> dict:
-        return {"p": self.p.value, "verdict": "all_residues"}
-
-
-ScanVerdict = "PrimeClassification | AllResidues"
-ScanResult = list[tuple[Prime, ScanVerdict]]
-
-
-def classify_or_all(q: IntPolynomial, p: Prime) -> ScanVerdict:
-    """classify_prime, or AllResidues when p divides every coefficient."""
-    try:
-        return classify_prime(q, p)
-    except PolynomialVanishesModP:
-        return AllResidues(p)
-
-
-def scan_primes(q: IntPolynomial, count: int, workers: int = 1) -> ScanResult:
+def scan_primes(
+    q: IntPolynomial, count: int, workers: int = 1
+) -> list[tuple[Prime, PrimeClassification]]:
     """Classify q at each of the first `count` primes, in prime order.
 
     With workers > 1 the classifications run in a process pool; output is
@@ -157,16 +125,16 @@ def scan_primes(q: IntPolynomial, count: int, workers: int = 1) -> ScanResult:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(classify_or_all, repeat(q), primes, chunksize=64))
+            results = list(pool.map(classify_prime, repeat(q), primes, chunksize=64))
     else:
-        results = [classify_or_all(q, p) for p in primes]
+        results = [classify_prime(q, p) for p in primes]
     return list(zip(primes, results))
 
 
 @dataclass(frozen=True)
 class SlopeReport:
     p: Prime
-    classification: ScanVerdict
+    classification: PrimeClassification
     predicted: "Fraction | None"    # per-n slope of the valuation
     n_p: "Fraction | None"          # asymptotic zero number
     empirical: tuple[tuple[int, Fraction], ...]
@@ -178,7 +146,7 @@ class SlopeReport:
         """The report around an exact slope (None when unknown)."""
         n_p = None if slope is None else (p.value - 1) * slope
         empirical = tuple((n, empirical_slope(spec, p, n)) for n in sample_points)
-        return cls(p, classify_or_all(spec.poly, p), slope, n_p, empirical)
+        return cls(p, classify_prime(spec.poly, p), slope, n_p, empirical)
 
     def to_json(self) -> dict:
         return {
@@ -199,9 +167,9 @@ def slope_report(
     spec: RecurrenceSpec,
     p: Prime,
     sample_points: tuple[int, ...] = (),
-    depth_cap: int = DEFAULT_DEPTH_CAP,
+    depth_cap: "int | None" = None,
 ) -> SlopeReport:
-    """Classification, exact slope and empirical slopes; a stalled descent leaves the slope None."""
+    """Classification, exact slope and empirical slopes; the slope is None past a depth cap."""
     try:
         slope = exact_slope(spec.poly, p, depth_cap)
     except DepthExceededError:
@@ -268,7 +236,7 @@ def closed_form_slope_xp_pm1(p: Prime, sign: int, q: Prime) -> Fraction:
 def composite_slope(
     factors: list[tuple[IntPolynomial, int]],
     p: Prime,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
+    depth_cap: "int | None" = None,
 ) -> Fraction:
     """Slope of a product given its factorization: sum of per-factor slopes.
 

@@ -55,10 +55,10 @@ def _nonneg_int(text: str) -> int:
     return n
 
 
-def _default_depth_cap() -> int:
+def _default_depth_cap() -> int | None:
     raw = os.environ.get(DEPTH_CAP_ENV)
     try:  # --depth-cap's rule; a bad value is a usage error
-        return _positive_int(raw) if raw else analysis.DEFAULT_DEPTH_CAP
+        return _positive_int(raw) if raw else None
     except (ValueError, argparse.ArgumentTypeError):
         _parser().error(f"{DEPTH_CAP_ENV} must be an integer >= 1, got {raw!r}")
 
@@ -157,16 +157,20 @@ def _cmd_roots(args) -> str:
     return " ".join(str(r) for r in roots) + "\n"
 
 
+_CLASSIFICATION_HEADER = ["p", "verdict", "roots", "non_hensel_roots"]
+
+
+def _classification_row(cls: padic.PrimeClassification) -> list:
+    return [cls.p.value, cls.verdict.value,
+            ";".join(map(str, cls.roots)), ";".join(map(str, cls.non_hensel_roots))]
+
+
 def _cmd_classify(args) -> str:
     cls = padic.classify_prime(args.poly, args.prime)
     if args.format == "json":
         return json.dumps(cls.to_json(), sort_keys=True) + "\n"
     if args.format == "csv":
-        return write_csv(
-            ["p", "verdict", "roots", "non_hensel_roots"],
-            [[cls.p.value, cls.verdict.value,
-              ";".join(map(str, cls.roots)), ";".join(map(str, cls.non_hensel_roots))]],
-        )
+        return write_csv(_CLASSIFICATION_HEADER, [_classification_row(cls)])
     return (
         f"{cls.verdict.value} roots={','.join(map(str, cls.roots))}"
         f" non_hensel={','.join(map(str, cls.non_hensel_roots))}\n"
@@ -245,15 +249,9 @@ def _cmd_scan(args) -> str:
     results = analysis.scan_primes(args.poly, args.count, workers=args.workers)
     if args.format == "json":
         return json.dumps([c.to_json() for _, c in results], sort_keys=True) + "\n"
-    rows = []
-    for p, c in results:
-        if isinstance(c, analysis.AllResidues):
-            rows.append([p.value, "all_residues", "", ""])
-        else:
-            rows.append([p.value, c.verdict.value,
-                         ";".join(map(str, c.roots)), ";".join(map(str, c.non_hensel_roots))])
+    rows = [_classification_row(c) for _, c in results]
     if args.format == "csv":
-        return write_csv(["p", "verdict", "roots", "non_hensel_roots"], rows)
+        return write_csv(_CLASSIFICATION_HEADER, rows)
     return "".join(f"{r[0]} {r[1]} roots={r[2]} non_hensel={r[3]}\n" for r in rows)
 
 

@@ -38,11 +38,9 @@ class HasIntegerRootError(PadicValError):
 
 
 class DepthExceededError(PadicValError):
-    """The slope recursion did not resolve within the depth cap.
+    """The slope recursion did not resolve within an explicit depth cap.
 
-    Happens precisely when a repeated p-adic root stalls the residue
-    branching (e.g. a squared factor).  ``chain`` records the residues
-    descended through before giving up.
+    ``chain`` records the residues descended through before giving up.
     """
 
     def __init__(self, p: int, chain: tuple[int, ...]):

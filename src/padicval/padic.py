@@ -287,6 +287,7 @@ class Verdict(enum.Enum):
     NO_ROOTS = "no_roots"
     HENSEL = "hensel"
     NON_HENSEL = "non_hensel"
+    ALL_RESIDUES = "all_residues"
 
 
 @dataclass(frozen=True)
@@ -298,9 +299,16 @@ class PrimeClassification:
 
     @property
     def z_p(self) -> int:
-        return len(self.roots)
+        return self.p.value if self.verdict is Verdict.ALL_RESIDUES else len(self.roots)
+
+    @property
+    def all_roots_simple(self) -> bool:
+        """Every root of q mod p is simple (vacuously so without roots)."""
+        return self.verdict in (Verdict.HENSEL, Verdict.NO_ROOTS)
 
     def to_json(self) -> dict:
+        if self.verdict is Verdict.ALL_RESIDUES:  # p residues are not listed
+            return {"p": self.p.value, "verdict": self.verdict.value}
         return {
             "p": self.p.value,
             "verdict": self.verdict.value,
@@ -313,9 +321,14 @@ def classify_prime(q: IntPolynomial, p: Prime) -> PrimeClassification:
     """Root census mod p with the simple/non-simple split.
 
     A prime with no roots gets its own verdict: by convention a prime
-    only counts as Hensel when at least one root exists.
+    only counts as Hensel when at least one root exists.  When p divides
+    every coefficient, every residue is a root and q' vanishes mod p too;
+    that verdict lists no roots.
     """
-    roots = roots_mod_p(q, p)
+    try:
+        roots = roots_mod_p(q, p)
+    except PolynomialVanishesModP:
+        return PrimeClassification(p, Verdict.ALL_RESIDUES, (), ())
     dq = q.derivative()
     bad = tuple(b for b in roots if dq.evaluate_mod(b, p.value) == 0)
     if not roots:
@@ -340,10 +353,6 @@ class HenselRoot:
 
     p: Prime
     digits: tuple[int, ...]
-
-    @property
-    def base_digit(self) -> int:
-        return self.digits[0]
 
     @property
     def precision(self) -> int:

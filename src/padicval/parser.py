@@ -16,6 +16,9 @@ from .poly import IntPolynomial
 
 _MINUS = "-−"  # ASCII hyphen and the unicode minus sign
 
+# Coefficients are stored densely, so the exponent bounds the memory taken.
+MAX_DEGREE = 10_000
+
 
 class _Scanner:
     def __init__(self, text: str):
@@ -100,5 +103,10 @@ def _parse_term(s: _Scanner) -> tuple[int, int]:
 def _parse_power(s: _Scanner) -> int:
     if s.peek() == "^":
         s.advance()
-        return s.read_uint()
+        s.skip_ws()
+        start = s.pos
+        e = s.read_uint()
+        if e > MAX_DEGREE:
+            raise ParseError(f"exponent above the maximum degree {MAX_DEGREE}", start)
+        return e
     return 1

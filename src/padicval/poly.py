@@ -9,6 +9,7 @@ shortcuts live in the recurrence engines, not in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
@@ -78,18 +79,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "IntPolynomial":
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = IntPolynomial([1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, x: int) -> int:
@@ -157,11 +146,6 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)!r})"
-
-
-X = IntPolynomial([0, 1])
-ONE = IntPolynomial([1])
-ZERO = IntPolynomial()
 
 
 def format_poly(q: IntPolynomial) -> str:
@@ -240,24 +224,26 @@ def poly_divexact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(q)
 
 
-def _positive_divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+# Primes below this are tried on Q itself; a repeated factor of Q can give
+# every prime a non-simple root, so from here on Q's squarefree part is used.
+_SQUAREFREE_FROM = 11
+
+
+def _primes() -> Iterator[int]:
+    """2, 3, 5, ... without end, by trial division."""
+    for n in count(2):
+        if all(n % d for d in range(2, isqrt(n) + 1)):
+            yield n
 
 
 def nonneg_integer_roots(q: IntPolynomial) -> set[int]:
     """Exact set of roots of q in the nonnegative integers.
 
-    Any integer root divides the constant term once powers of x are
-    factored out, so only divisors need testing.
+    Nothing is factored.  A positive root r is at most the Cauchy bound B
+    and reduces mod a prime l to a root of q mod l.  At the first l where
+    every root mod l is simple, each root mod l lifts uniquely (Newton's
+    method) to a root mod some l^k > B, so r is one of these lifts.  Such
+    an l exists once q is squarefree: any l not dividing its discriminant.
     """
     if q.is_zero:
         raise ZeroPolynomialError("zero polynomial vanishes everywhere")
@@ -265,12 +251,24 @@ def nonneg_integer_roots(q: IntPolynomial) -> set[int]:
     shift = 0
     while coeffs[shift] == 0:
         shift += 1
-    roots: set[int] = set()
-    if shift > 0:
-        roots.add(0)
-    reduced = IntPolynomial(coeffs[shift:])
-    if reduced.degree >= 1:
-        for d in _positive_divisors(reduced.coeffs[0]):
-            if reduced.evaluate(d) == 0:
-                roots.add(d)
+    roots: set[int] = {0} if shift else set()
+    r = IntPolynomial(coeffs[shift:])
+    if min(r.coeffs) >= 0 or max(r.coeffs) <= 0:  # no sign change: no positive root
+        return roots
+    bound = 1 + max(abs(c) for c in r.coeffs[:-1]) // abs(r.leading)
+    dr = r.derivative()
+    for ell in _primes():
+        if ell == _SQUAREFREE_FROM:
+            r = poly_divexact(r, integer_poly_gcd(r, dr))
+            dr = r.derivative()
+        residues = [b for b in range(ell) if r.evaluate_mod(b, ell) == 0]
+        if all(dr.evaluate_mod(b, ell) for b in residues):
+            break
+    for x in residues:
+        m = ell  # x is a root mod m
+        while m <= bound:
+            m *= m
+            x = (x - r.evaluate_mod(x, m) * pow(dr.evaluate_mod(x, m), -1, m)) % m
+        if 0 < x <= bound and r.evaluate(x) == 0:
+            roots.add(x)
     return roots

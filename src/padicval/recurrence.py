@@ -16,7 +16,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, TextIO
 
 from .errors import HasIntegerRootError, NotHenselPrimeError, ZeroPolynomialError
-from .padic import Prime, Verdict, classify_prime, descent_step, hensel_digit, int_valuation
+from .padic import Prime, classify_prime, descent_step, hensel_digit, int_valuation
 from .poly import IntPolynomial, format_poly, nonneg_integer_roots
 
 
@@ -121,7 +121,7 @@ def valuation_tn(spec: RecurrenceSpec, p: Prime, n: int) -> int:
 
 def valuation_tn_fast(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     """valuation_tn, refused unless every root of Q mod p is simple."""
-    if classify_prime(spec.poly, p).verdict is Verdict.NON_HENSEL:
+    if not classify_prime(spec.poly, p).all_roots_simple:
         raise NotHenselPrimeError(
             f"{p} is not a Hensel prime for {spec.poly}; use the direct engine"
         )

@@ -11,7 +11,6 @@ from math import gcd
 from typing import Callable
 
 from .analysis import (
-    AllResidues,
     asymptotic_zero_number,
     composite_slope,
     exact_slope,
@@ -72,7 +71,7 @@ def example2(scan_count: int = 5000, workers: int = 1) -> list[Claim]:
     non_hensel = {
         p.value
         for p, c in scan_primes(Q1, scan_count, workers=workers)
-        if not isinstance(c, AllResidues) and c.verdict is Verdict.NON_HENSEL
+        if c.verdict is Verdict.NON_HENSEL
     }
     claims.append(
         (

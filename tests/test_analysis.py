@@ -5,7 +5,6 @@ from math import gcd
 import pytest
 
 from padicval.analysis import (
-    AllResidues,
     asymptotic_zero_number,
     closed_form_slope_xp_pm1,
     composite_slope,
@@ -48,6 +47,12 @@ class TestPredictedSlope:
         with pytest.raises(NotHenselPrimeError):
             predicted_slope_hensel(Q1, P3)
 
+    def test_p_divides_content_raises(self):
+        # 3(x^2+1): Q' = 6x vanishes mod 3 too, so no root is simple (the slope is 1, not 3/2)
+        with pytest.raises(NotHenselPrimeError):
+            predicted_slope_hensel(IntPolynomial([3, 0, 3]), P3)
+        assert exact_slope(IntPolynomial([3, 0, 3]), P3) == 1
+
 
 class TestExactSlope:
     def test_example2_values(self):
@@ -70,11 +75,8 @@ class TestExactSlope:
         while checked < 40:
             q = IntPolynomial([rng.randint(-40, 40) for _ in range(rng.randint(2, 6))])
             p = Prime(rng.choice([3, 5, 7, 11, 13, 17]))
-            try:
-                cls = classify_prime(q, p)
-            except Exception:
-                continue
-            if cls.verdict is Verdict.NON_HENSEL:
+            cls = classify_prime(q, p)
+            if cls.verdict in (Verdict.NON_HENSEL, Verdict.ALL_RESIDUES):
                 continue
             assert exact_slope(q, p) == Fraction(cls.z_p, p.value - 1)
             checked += 1
@@ -83,6 +85,12 @@ class TestExactSlope:
         # 5(x+1)(x+6): v_5(5) per index, plus the descent below the double root 4
         assert exact_slope(IntPolynomial([30, 35, 5]), P5) == Fraction(3, 2)
         assert exact_slope(IntPolynomial([9]), P3) == 2
+
+    def test_squarefree_deep_descent_needs_no_cap(self):
+        # x^2 - 3^200 descends about 100 levels; its factors x -+ 3^100 each give 1/2
+        q = IntPolynomial([-(3**200), 0, 1])
+        factors = [(IntPolynomial([-(3**100), 1]), 1), (IntPolynomial([3**100, 1]), 1)]
+        assert exact_slope(q, P3) == composite_slope(factors, P3) == 1
 
     def test_depth_cap_diagnostic(self):
         # a tight cap names the stalled residue chain
@@ -147,13 +155,13 @@ class TestScanPrimes:
         non_hensel = {
             p.value
             for p, c in results
-            if not isinstance(c, AllResidues) and c.verdict is Verdict.NON_HENSEL
+            if c.verdict is Verdict.NON_HENSEL
         }
         assert non_hensel == {3, 11, 29}
 
     def test_example3_every_rooted_prime_non_hensel(self):
         for p, c in scan_primes(Q3, 100):
-            if isinstance(c, AllResidues):
+            if c.verdict is Verdict.ALL_RESIDUES:
                 continue
             assert c.verdict in (Verdict.NO_ROOTS, Verdict.NON_HENSEL)
 
@@ -168,8 +176,8 @@ class TestScanPrimes:
     def test_all_residues_marker(self):
         q = IntPolynomial([3, 6])
         results = dict((p.value, c) for p, c in scan_primes(q, 3))
-        assert isinstance(results[3], AllResidues)
-        assert not isinstance(results[2], AllResidues)
+        assert results[3].verdict is Verdict.ALL_RESIDUES
+        assert results[2].verdict is not Verdict.ALL_RESIDUES
 
     def test_parallel_matches_sequential(self):
         seq = scan_primes(Q1, 120, workers=1)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest import mock
@@ -97,6 +98,20 @@ class TestValuation:
                            "--n", "1000")
         assert (code, out) == (0, "1000\n")
 
+    def test_fast_when_p_divides_content_is_domain_error(self, capsys):
+        code, _, err = run(capsys, "valuation", "--engine", "fast", "--poly", "3x^2+3",
+                           "--prime", "3", "--n", "10")
+        assert code == 1
+        assert "3 is not a Hensel prime" in err
+
+    def test_huge_integer_root(self, capsys):
+        # the start index shifts to 10^30, so the multipliers are 1..10 and v_2(10!) = 8
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "valuation", "--poly", "x-" + str(10**30), "--prime", "2",
+                           "--n", "10")
+        assert (code, out) == (0, "8\n")
+        assert time.perf_counter() - t0 < 1
+
     @pytest.mark.parametrize("p, slope", [(3, Fraction(4, 3)), (11, Fraction(3, 10)),
                                           (29, Fraction(57, 812))])
     def test_non_hensel_at_huge_n(self, capsys, p, slope):
@@ -156,6 +171,11 @@ class TestSlope:
                            "--n", "4", "--format", "csv")
         assert (code, out) == (0, "kind,E,N\nexact,1/1,1/1\nempirical_n=4,3/4,\n")
 
+    def test_exact_deep_squarefree(self, capsys):
+        code, out, _ = run(capsys, "slope", "--poly", "x^2-" + str(3**200), "--prime", "3",
+                           "--exact")
+        assert (code, out) == (0, "E=1/1 N=2/1\n")
+
     def test_depth_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "slope", "--poly", "x^5+2x^3+3", "--prime", "3",
                            "--exact", "--depth-cap", "1")
@@ -208,6 +228,12 @@ class TestScan:
         _, out, _ = run(capsys, "scan", "--poly", "3x+6", "--count", "3",
                         "--format", "csv")
         assert "3,all_residues,," in out
+        classify = ("classify", "--poly", "3x+6", "--prime", "3", "--format")
+        assert run(capsys, *classify, "table") == (0, "all_residues roots= non_hensel=\n", "")
+        code, out, _ = run(capsys, *classify, "json")
+        assert (code, json.loads(out)) == (0, {"p": 3, "verdict": "all_residues"})
+        _, out, _ = run(capsys, *classify, "csv")
+        assert out == "p,verdict,roots,non_hensel_roots\n3,all_residues,,\n"
 
     def test_deterministic(self, capsys):
         a = run(capsys, "scan", "--poly", "x^5+2x^3+3", "--count", "50", "--format", "json")

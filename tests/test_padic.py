@@ -168,17 +168,20 @@ class TestClassifyPrime:
             q = IntPolynomial([rng.randint(-30, 30) for _ in range(rng.randint(2, 7))])
             p = Prime(rng.choice([2, 3, 5, 7, 11, 13]))
             shift = IntPolynomial([rng.randint(-5, 5) for _ in range(rng.randint(1, 7))])
-            try:
-                a = classify_prime(q, p)
-                b = classify_prime(q + p.value * shift, p)
-            except PolynomialVanishesModP:
-                continue
+            a = classify_prime(q, p)
+            b = classify_prime(q + p.value * shift, p)
             assert a.verdict == b.verdict
             assert a.roots == b.roots
 
     def test_serialization(self):
         payload = classify_prime(Q1, P5).to_json()
         assert payload == {"p": 5, "verdict": "hensel", "roots": [3, 4], "non_hensel_roots": []}
+
+    def test_all_residues(self):
+        cls = classify_prime(IntPolynomial([6, 3]), P3)
+        assert (cls.verdict, cls.roots, cls.non_hensel_roots) == (Verdict.ALL_RESIDUES, (), ())
+        assert cls.z_p == 3 and not cls.all_roots_simple
+        assert cls.to_json() == {"p": 3, "verdict": "all_residues"}
 
 
 class TestHenselLift:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicval.errors import ParseError
-from padicval.parser import parse_poly
+from padicval.parser import MAX_DEGREE, parse_poly
 from padicval.poly import IntPolynomial, format_poly
 
 
@@ -45,6 +45,14 @@ def test_empty_rejected():
 def test_trailing_garbage_rejected():
     with pytest.raises(ParseError):
         parse_poly("x^2 y")
+
+
+def test_degree_cap():
+    assert MAX_DEGREE == 10_000
+    assert parse_poly("x^10000+1").degree == 10_000
+    with pytest.raises(ParseError) as e:
+        parse_poly("x+x^ 10001")
+    assert e.value.offset == 5
 
 
 @given(st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=11).map(IntPolynomial))

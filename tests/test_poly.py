@@ -1,3 +1,6 @@
+import math
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,19 @@ Q1 = IntPolynomial([3, 0, 0, 2, 0, 1])  # x^5+2x^3+3
 H = IntPolynomial([3, -3, 3, -1, 1])    # x^4-x^3+3x^2-3x+3
 
 small_polys = st.lists(st.integers(-50, 50), min_size=0, max_size=7).map(IntPolynomial)
+
+
+def divisor_roots(q):
+    """Oracle: a positive integer root divides the constant term once x^k is factored out."""
+    coeffs = list(q.coeffs)
+    roots = {0} if coeffs[0] == 0 else set()
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    reduced, c0 = IntPolynomial(coeffs), abs(coeffs[0])
+    for d in range(1, isqrt(c0) + 1):
+        if c0 % d == 0:
+            roots |= {e for e in (d, c0 // d) if reduced.evaluate(e) == 0}
+    return roots
 
 
 class TestEvaluate:
@@ -134,6 +150,27 @@ class TestNonnegIntegerRoots:
     def test_zero_poly(self):
         with pytest.raises(ZeroPolynomialError):
             nonneg_integer_roots(IntPolynomial())
+
+    def test_huge_constant_term(self):
+        # factoring 10^30 or 2^89 - 1 by trial division would not finish
+        for r in (10**30, 2**89 - 1):
+            assert nonneg_integer_roots(IntPolynomial([-r, 1])) == {r}
+
+    def test_non_simple_root_mod_every_small_prime(self):
+        q = math.prod((IntPolynomial([-i, 1]) for i in range(1, 51)), start=IntPolynomial([1]))
+        assert nonneg_integer_roots(q) == set(range(1, 51))
+
+    @given(
+        planted=st.lists(st.integers(-40, 400), min_size=1, max_size=4),
+        cofactor=small_polys.filter(lambda q: not q.is_zero),
+    )
+    @settings(max_examples=80)
+    def test_planted_roots_against_divisors(self, planted, cofactor):
+        # repeated planted roots give a non-simple root mod every prime
+        q = math.prod((IntPolynomial([-r, 1]) for r in planted), start=cofactor)
+        found = nonneg_integer_roots(q)
+        assert found == divisor_roots(q)
+        assert {r for r in planted if r >= 0} <= found
 
     @given(q=small_polys.filter(lambda q: not q.is_zero))
     @settings(max_examples=60)
