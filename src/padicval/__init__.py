@@ -19,7 +19,6 @@ from .analysis import (
     slope_report,
 )
 from .errors import (
-    DepthExceededError,
     HasIntegerRootError,
     NotARootError,
     NotHenselPrimeError,

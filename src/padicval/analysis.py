@@ -9,13 +9,14 @@ out the minimal coefficient power of p, and descend again.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
 from typing import Iterable
 
-from .errors import DepthExceededError, NotHenselPrimeError, ValuationOfZeroError
+from .errors import NotHenselPrimeError, ValuationOfZeroError
 from .padic import (
     Prime,
     PrimeClassification,
@@ -36,7 +37,7 @@ def predicted_slope_hensel(q: IntPolynomial, p: Prime) -> Fraction:
     return Fraction(cls.z_p, p.value - 1)
 
 
-def exact_slope(q: IntPolynomial, p: Prime, depth_cap: "int | None" = None) -> Fraction:
+def exact_slope(q: IntPolynomial, p: Prime) -> Fraction:
     """Exact per-n slope E = lim valuation(t_n)/n, as a fraction.
 
     The limit of valuation_tn's descent, with densities for window counts:
@@ -46,30 +47,27 @@ def exact_slope(q: IntPolynomial, p: Prime, depth_cap: "int | None" = None) -> F
     are first peeled off via gcd(Q, Q'); slopes add over any pointwise
     factorization.  Each peeled piece is squarefree, so its descent ends:
     an endless residue chain would converge to a p-adic alpha with
-    Q(alpha) = Q'(alpha) = 0.  An explicit depth cap surfaces as
-    DepthExceededError naming the residue chain.
+    Q(alpha) = Q'(alpha) = 0.
     """
     pv = p.value
     total = Fraction(0)
-    stack: list[tuple[IntPolynomial, int, tuple[int, ...]]] = [(q, 1, ())]  # (R, p^d, chain)
+    stack: list[tuple[IntPolynomial, int]] = [(q, 1)]  # (R, p^d)
     while stack:
-        r, a, chain = stack.pop()
-        if not chain:
+        r, a = stack.pop()
+        if a == 1:
             rep = integer_poly_gcd(r, r.derivative())
             if rep.degree >= 1:
-                stack += [(rep, 1, ()), (poly_divexact(r, rep), 1, ())]
+                stack += [(rep, 1), (poly_divexact(r, rep), 1)]
                 continue
-        if depth_cap is not None and len(chain) >= depth_cap:
-            raise DepthExceededError(pv, chain)
         m, r, simple, repeated = descent_step(r, p)
         total += (m + Fraction(len(simple), pv - 1)) / a
-        stack += [(r.affine_substitute(pv, b), a * pv, chain + (b,)) for b in reversed(repeated)]
+        stack += [(r.affine_substitute(pv, b), a * pv) for b in repeated]
     return total
 
 
-def asymptotic_zero_number(q: IntPolynomial, p: Prime, depth_cap: "int | None" = None) -> Fraction:
+def asymptotic_zero_number(q: IntPolynomial, p: Prime) -> Fraction:
     """N_p = (p-1) * E, the limit of (p-1)*valuation/n."""
-    return (p.value - 1) * exact_slope(q, p, depth_cap)
+    return (p.value - 1) * exact_slope(q, p)
 
 
 def empirical_slope(spec: RecurrenceSpec, p: Prime, n: int) -> Fraction:
@@ -117,10 +115,12 @@ def scan_primes(
 ) -> list[tuple[Prime, PrimeClassification]]:
     """Classify q at each of the first `count` primes, in prime order.
 
-    With workers > 1 the classifications run in a process pool; output is
-    identical to the sequential run.
+    With workers > 1 the classifications run in a process pool of at most
+    one process per CPU and per prime; output is identical to the
+    sequential run.
     """
     primes = primes_first(count)
+    workers = min(workers, os.cpu_count() or 1, len(primes))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -135,18 +135,9 @@ def scan_primes(
 class SlopeReport:
     p: Prime
     classification: PrimeClassification
-    predicted: "Fraction | None"    # per-n slope of the valuation
-    n_p: "Fraction | None"          # asymptotic zero number
+    predicted: Fraction    # per-n slope of the valuation
+    n_p: Fraction          # asymptotic zero number
     empirical: tuple[tuple[int, Fraction], ...]
-
-    @classmethod
-    def of(
-        cls, spec: RecurrenceSpec, p: Prime, slope: "Fraction | None", sample_points: tuple[int, ...]
-    ) -> "SlopeReport":
-        """The report around an exact slope (None when unknown)."""
-        n_p = None if slope is None else (p.value - 1) * slope
-        empirical = tuple((n, empirical_slope(spec, p, n)) for n in sample_points)
-        return cls(p, classify_prime(spec.poly, p), slope, n_p, empirical)
 
     def to_json(self) -> dict:
         return {
@@ -158,23 +149,16 @@ class SlopeReport:
         }
 
 
-def format_fraction(x: "Fraction | None") -> "str | None":
-    """Exact "num/den" text; None stays None."""
-    return None if x is None else f"{x.numerator}/{x.denominator}"
+def format_fraction(x: Fraction) -> str:
+    """Exact "num/den" text."""
+    return f"{x.numerator}/{x.denominator}"
 
 
-def slope_report(
-    spec: RecurrenceSpec,
-    p: Prime,
-    sample_points: tuple[int, ...] = (),
-    depth_cap: "int | None" = None,
-) -> SlopeReport:
-    """Classification, exact slope and empirical slopes; the slope is None past a depth cap."""
-    try:
-        slope = exact_slope(spec.poly, p, depth_cap)
-    except DepthExceededError:
-        slope = None
-    return SlopeReport.of(spec, p, slope, sample_points)
+def slope_report(spec: RecurrenceSpec, p: Prime, sample_points: tuple[int, ...] = ()) -> SlopeReport:
+    """Classification, exact slope and empirical slopes at the sample points."""
+    slope = exact_slope(spec.poly, p)
+    empirical = tuple((n, empirical_slope(spec, p, n)) for n in sample_points)
+    return SlopeReport(p, classify_prime(spec.poly, p), slope, (p.value - 1) * slope, empirical)
 
 
 # -- closed forms for x^p +/- 1 and the cyclotomic-style sums -------------
@@ -233,11 +217,7 @@ def closed_form_slope_xp_pm1(p: Prime, sign: int, q: Prime) -> Fraction:
     return Fraction(gcd(pv, q.value - 1), q.value - 1)
 
 
-def composite_slope(
-    factors: list[tuple[IntPolynomial, int]],
-    p: Prime,
-    depth_cap: "int | None" = None,
-) -> Fraction:
+def composite_slope(factors: list[tuple[IntPolynomial, int]], p: Prime) -> Fraction:
     """Slope of a product given its factorization: sum of per-factor slopes.
 
     The valuation of a product of multipliers is the sum over factors, so
@@ -248,5 +228,5 @@ def composite_slope(
         raise ValueError("factor list must be nonempty")
     total = Fraction(0)
     for poly, mult in factors:
-        total += mult * exact_slope(poly, p, depth_cap)
+        total += mult * exact_slope(poly, p)
     return total

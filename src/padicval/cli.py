@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Callable, TextIO
 
@@ -23,8 +22,6 @@ from .recurrence import write_csv
 
 # A command's output: its whole text, or a function writing it to a stream.
 Output = "str | Callable[[TextIO], object]"
-
-DEPTH_CAP_ENV = "PADICVAL_DEPTH_CAP"
 
 
 def _poly_arg(text: str) -> IntPolynomial:
@@ -53,14 +50,6 @@ def _nonneg_int(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return n
-
-
-def _default_depth_cap() -> int | None:
-    raw = os.environ.get(DEPTH_CAP_ENV)
-    try:  # --depth-cap's rule; a bad value is a usage error
-        return _positive_int(raw) if raw else None
-    except (ValueError, argparse.ArgumentTypeError):
-        _parser().error(f"{DEPTH_CAP_ENV} must be an integer >= 1, got {raw!r}")
 
 
 def _emit(output: Output, out_path: str | None) -> None:
@@ -121,9 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("slope", help="asymptotic slope and zero number")
     _add_common(s)
-    s.add_argument("--exact", action="store_true", help="exact limit via the branch recursion")
+    s.add_argument("--exact", action="store_true", help="accepted; the slope is always exact")
     s.add_argument("--n", type=_positive_int, help="also report the finite-n empirical slope")
-    s.add_argument("--depth-cap", type=_positive_int, default=None)
 
     s = sp.add_parser("errors", help="normalized and relative error series")
     _add_common(s)
@@ -218,25 +206,15 @@ def _cmd_series(args) -> Output:
 
 
 def _cmd_slope(args) -> str:
-    depth_cap = args.depth_cap if args.depth_cap is not None else _default_depth_cap()
-    spec = _make_spec(args)
-    sample = (args.n,) if args.n else ()
-    if args.exact:  # a stalled descent is an error naming its residue chain
-        slope = analysis.exact_slope(args.poly, args.prime, depth_cap)
-        report = analysis.SlopeReport.of(spec, args.prime, slope, sample)
-    else:
-        report = analysis.slope_report(spec, args.prime, sample_points=sample, depth_cap=depth_cap)
+    report = analysis.slope_report(_make_spec(args), args.prime, (args.n,) if args.n else ())
     if args.format == "json":
         return json.dumps(report.to_json(), sort_keys=True) + "\n"
     if args.format == "csv":
-        rows = [["exact", format_fraction(report.predicted) or "", format_fraction(report.n_p) or ""]]
+        rows = [["exact", format_fraction(report.predicted), format_fraction(report.n_p)]]
         rows += [[f"empirical_n={n}", format_fraction(v), ""] for n, v in report.empirical]
         return write_csv(["kind", "E", "N"], rows)
-    parts = []
-    if report.predicted is not None:
-        parts.append(f"E={format_fraction(report.predicted)} N={format_fraction(report.n_p)}")
-    for n, v in report.empirical:
-        parts.append(f"empirical(n={n})={format_fraction(v)}")
+    parts = [f"E={format_fraction(report.predicted)} N={format_fraction(report.n_p)}"]
+    parts += [f"empirical(n={n})={format_fraction(v)}" for n, v in report.empirical]
     return " ".join(parts) + "\n"
 
 

@@ -37,19 +37,6 @@ class HasIntegerRootError(PadicValError):
     """Q vanishes at a positive integer, so some multiplier would be zero."""
 
 
-class DepthExceededError(PadicValError):
-    """The slope recursion did not resolve within an explicit depth cap.
-
-    ``chain`` records the residues descended through before giving up.
-    """
-
-    def __init__(self, p: int, chain: tuple[int, ...]):
-        self.p = p
-        self.chain = chain
-        path = " -> ".join(str(b) for b in chain)
-        super().__init__(f"branch recursion at p={p} exceeded depth cap along residues [{path}]")
-
-
 class ParseError(PadicValError):
     """Polynomial text did not match the grammar."""
 

@@ -24,15 +24,17 @@ from .poly import IntPolynomial
 # first split off the product of linear factors via gcd with x^p - x.
 SCAN_THRESHOLD = 4096
 
-# Witness set deterministic for all n < 3.3e24 (far beyond desk scale).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin witnesses: deterministic for every n
+# below psi_13 = 3317044064679887385961981 (about 3.3e24).  The first 12
+# alone pass the composite psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n below 3.3e24."""
+    """Deterministic Miller-Rabin for n below psi_13 = 3317044064679887385961981."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n == p:
             return True
         if n % p == 0:
@@ -247,7 +249,7 @@ def _reduced_coeffs(q: IntPolynomial, p: int) -> list[int]:
     return c
 
 
-def roots_mod_p(q: IntPolynomial, p: Prime, scan_threshold: int = SCAN_THRESHOLD) -> list[int]:
+def roots_mod_p(q: IntPolynomial, p: Prime) -> list[int]:
     """Sorted residues b in [0, p-1] with q(b) = 0 mod p.
 
     Small p: exhaustive scan.  Large p: reduce to the product of the
@@ -259,7 +261,7 @@ def roots_mod_p(q: IntPolynomial, p: Prime, scan_threshold: int = SCAN_THRESHOLD
     f = _reduced_coeffs(q, pv)
     if len(f) == 1:
         return []  # nonzero constant mod p
-    if pv < scan_threshold:
+    if pv < SCAN_THRESHOLD:
         return [b for b in range(pv) if q.evaluate_mod(b, pv) == 0]
     f = _gf_monic(f, pv)
     if len(f) == 2:

@@ -45,7 +45,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a digit", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past Python's limit on digits converted from text
+            raise ParseError("integer has too many digits", start) from None
 
 
 def parse_poly(text: str) -> IntPolynomial:

@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 from fractions import Fraction
 from math import gcd
@@ -20,7 +22,7 @@ from padicval.analysis import (
     scan_primes,
     slope_report,
 )
-from padicval.errors import DepthExceededError, NotHenselPrimeError, ValuationOfZeroError
+from padicval.errors import NotHenselPrimeError, ValuationOfZeroError
 from padicval.padic import Prime, Verdict, classify_prime, digit_sum, int_valuation, roots_mod_p
 from padicval.poly import IntPolynomial
 from padicval.recurrence import make_spec
@@ -91,13 +93,6 @@ class TestExactSlope:
         q = IntPolynomial([-(3**200), 0, 1])
         factors = [(IntPolynomial([-(3**100), 1]), 1), (IntPolynomial([3**100, 1]), 1)]
         assert exact_slope(q, P3) == composite_slope(factors, P3) == 1
-
-    def test_depth_cap_diagnostic(self):
-        # a tight cap names the stalled residue chain
-        with pytest.raises(DepthExceededError) as e:
-            exact_slope(Q1, P3, depth_cap=1)
-        assert e.value.p == 3
-        assert e.value.chain == (0,)
 
 
 class TestEmpiricalSlope:
@@ -183,6 +178,29 @@ class TestScanPrimes:
         seq = scan_primes(Q1, 120, workers=1)
         par = scan_primes(Q1, 120, workers=2)
         assert seq == par
+
+    def test_pool_clamped_to_cpus(self, monkeypatch):
+        # a fake pool records its size and maps in-process: no process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        assert scan_primes(Q1, 10, workers=64) == scan_primes(Q1, 10)
+        cpus = os.cpu_count() or 1
+        assert all(size <= cpus for size in sizes)
+        assert sizes == ([min(cpus, 10)] if cpus > 1 else [])
 
 
 class TestClosedForms:

@@ -55,6 +55,15 @@ def test_degree_cap():
     assert e.value.offset == 5
 
 
+@pytest.mark.parametrize("text, offset", [("1" * 5000 + "x", 0), ("x^2+" + "1" * 5000, 4)],
+                         ids=["first_term", "second_term"])
+def test_overlong_integer_rejected(text, offset):
+    # past Python's limit on digits converted from text
+    with pytest.raises(ParseError) as e:
+        parse_poly(text)
+    assert e.value.offset == offset
+
+
 @given(st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=11).map(IntPolynomial))
 @settings(max_examples=300)
 def test_round_trip(q):
