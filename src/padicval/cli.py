@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Callable, TextIO
 
@@ -165,7 +166,22 @@ def _cmd_classify(args) -> str:
     )
 
 
+def max_lift_precision(pv: int, digits: int) -> int:
+    """The largest k with p^(k+1) < 10^digits: every digit of such a lift prints."""
+    bound = 10**digits
+    k = max(int(digits / math.log10(pv)) - 1, 0)
+    while pv ** (k + 1) >= bound:
+        k -= 1
+    while pv ** (k + 2) < bound:
+        k += 1
+    return k
+
+
 def _cmd_lift(args) -> str:
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if digits and args.precision > (limit := max_lift_precision(args.prime.value, digits)):
+        _parser().error(f"argument --precision: must be <= {limit} at p = {args.prime}, "
+                        f"so that p^(k+1) stays within {digits} decimal digits")
     root = padic.hensel_lift(args.poly, args.prime, args.root, args.precision)
     value = root.truncation_value(root.precision - 1)
     if args.format == "json":

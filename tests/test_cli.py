@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -65,6 +67,22 @@ class TestLift:
         assert "--precision" in capsys.readouterr().err
         assert run(capsys, "lift", "--poly", "x^2+1", "--prime", "5", "--root", "2",
                    "--precision", "0")[:2] == (0, "digits=2 value=2\n")
+
+    @pytest.mark.parametrize("digits", [1, 30, 4300])
+    @pytest.mark.parametrize("p", [2, 5, 10, 97, 10007, 2**61 - 1])
+    def test_precision_bound_arithmetic(self, p, digits):
+        k = cli.max_lift_precision(p, digits)
+        assert p ** (k + 1) < 10**digits <= p ** (k + 2)
+
+    def test_precision_above_bound_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)  # Python's default
+        limit = cli.max_lift_precision(5, 4300)
+        assert limit == 6150  # 5^6151 has 4300 digits
+        with pytest.raises(SystemExit) as e:
+            main(["lift", "--poly", "x^2+1", "--prime", "5", "--root", "2",
+                  "--precision", str(limit + 1)])
+        assert e.value.code == 2
+        assert "--precision: must be <= 6150" in capsys.readouterr().err
 
     def test_not_simple_is_domain_error(self, capsys):
         code, _, err = run(capsys, "lift", "--poly", "x^3+1", "--prime", "3",
@@ -226,6 +244,16 @@ class TestScan:
         _, out, _ = run(capsys, *classify, "csv")
         assert out == "p,verdict,roots,non_hensel_roots\n3,all_residues,,\n"
 
+    @pytest.mark.parametrize("poly, digest", [
+        ("x^5+2x^3+3", "1ff8f8a491af202dc892bb2ec4101b22cb31e7661dede009b26821a68761d26f"),
+        ("x^8+x^5+x^3+1", "2a21d02b4c21ad59c1f9c06cd94b54085ca02a56c3ef409998f1951b2a252064"),
+    ])
+    def test_golden_csv(self, capsys, poly, digest):
+        # the output when the first 1000 primes all took the exhaustive scan (threshold 4096)
+        code, out, _ = run(capsys, "scan", "--poly", poly, "--count", "1000", "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_deterministic(self, capsys):
         a = run(capsys, "scan", "--poly", "x^5+2x^3+3", "--count", "50", "--format", "json")
         b = run(capsys, "scan", "--poly", "x^5+2x^3+3", "--count", "50", "--format", "json")
@@ -254,10 +282,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as e:
             main(["roots", "--poly", "x", "--prime", "6"])
         assert e.value.code == 2
-        # 399165290221 * 798330580441 passes Miller-Rabin to the bases 2..37
-        with pytest.raises(SystemExit) as e:
-            main(["classify", "--poly", "x", "--prime", "318665857834031151167461"])
-        assert e.value.code == 2
+        # psi_12 = 399165290221 * 798330580441 and psi_13 = 1287836182261 * 2575672364521
+        # pass Miller-Rabin to the bases 2..37 and 2..41
+        for n in ("318665857834031151167461", "3317044064679887385961981"):
+            with pytest.raises(SystemExit) as e:
+                main(["classify", "--poly", "x", "--prime", n])
+            assert e.value.code == 2
+            assert "is not prime" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:

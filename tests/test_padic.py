@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -26,36 +27,82 @@ from padicval.padic import (
 from padicval.poly import IntPolynomial
 
 Q1 = IntPolynomial([3, 0, 0, 2, 0, 1])  # x^5+2x^3+3
+Q3 = IntPolynomial([1, 0, 0, 1, 0, 1, 0, 0, 1])  # x^8+x^5+x^3+1 = (x+1)^2 (x^2-x+1) Phi_10
+E12 = IntPolynomial([6, -4, 2, 0, 10, -8, 4, 2, -6, 0, 14, 2, 1])  # Eisenstein at 2
 P2, P3, P5, P7 = Prime(2), Prime(3), Prime(5), Prime(7)
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # = 1287836182261 * 2575672364521
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)  # all of them below 20000
+
+
+def brute_roots(q, p):
+    return [b for b in range(p) if q.evaluate_mod(b, p) == 0]
+
+
+def sieve(limit):
+    flags = bytearray([1]) * limit
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    return flags
+
+
+def mul_then_divide(a, b, f, p):
+    """a*b mod (f, p) the long way: the full product, then long division by monic f."""
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    n = len(f) - 1
+    for i in range(len(prod) - 1, n - 1, -1):
+        c = prod[i] % p
+        for j in range(n + 1):
+            prod[i - n + j] -= c * f[j]
+    out = [c % p for c in prod[:n]]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 class TestPrime:
     def test_rejects_composites(self):
-        # the last passes Miller-Rabin to the bases 2..37; the witness 41 catches it
-        for n in (-3, 0, 1, 4, 9, 91, 561, 399165290221 * 798330580441):
+        # psi_12 and psi_13 are strong pseudoprimes to every base from 2 to 37 and to 41;
+        # 1093^2 is one to base 2
+        for n in (-3, 0, 1, 4, 9, 91, 561, 1093**2, PSI_12, PSI_13):
             assert not is_prime(n)
             with pytest.raises(ValueError):
                 Prime(n)
+
+    def test_strong_lucas_pseudoprimes(self):
+        for n in STRONG_LUCAS_PSEUDOPRIMES:
+            assert padic._strong_lucas_probable_prime(n)
+            assert not is_prime(n)
+            assert any(n % d == 0 for d in range(2, math.isqrt(n) + 1))
+
+    def test_strong_lucas_pseudoprimes_below_20000_are_exactly_these(self):
+        flags = sieve(20000)
+        passing = [n for n in range(3, 20000, 2)
+                   if not flags[n] and math.isqrt(n) ** 2 != n
+                   and padic._strong_lucas_probable_prime(n)]
+        assert passing == list(STRONG_LUCAS_PSEUDOPRIMES)
+        assert all(padic._strong_lucas_probable_prime(n) for n in range(3, 20000, 2) if flags[n])
 
     def test_accepts_primes(self):
         for n in (2, 3, 5, 48611, 2**61 - 1):
             assert Prime(n).value == n
 
     def test_is_prime_against_sieve(self):
-        sieve = [True] * 5000
-        sieve[0] = sieve[1] = False
-        for i in range(2, 71):
-            if sieve[i]:
-                for j in range(i * i, 5000, i):
-                    sieve[j] = False
-        for n in range(5000):
-            assert is_prime(n) == sieve[n]
+        flags = sieve(10**6)
+        assert [n for n in range(10**6) if is_prime(n)] == [n for n in range(10**6) if flags[n]]
 
     def test_primes_first(self):
         ps = primes_first(5000)
         assert len(ps) == 5000
         assert ps[0].value == 2
         assert ps[-1].value == 48611
+        assert [p.value for p in ps] == [p for p in range(48612) if is_prime(p)]
+        assert ps[:3] == [Prime(2), Prime(3), Prime(5)]
 
 
 class TestIntValuation:
@@ -135,6 +182,44 @@ class TestRootsModP:
             except PolynomialVanishesModP:
                 continue
             assert fast == [b for b in range(p.value) if q.evaluate_mod(b, p.value) == 0], (q, p)
+        # products of 1 to 4 linear factors and a cofactor: the closed-form quadratic
+        # and the random split of three or more roots both run
+        for _ in range(120):
+            p = rng.choice(primes)
+            q = IntPolynomial([rng.randint(-60, 60) for _ in range(rng.randint(1, 4))])
+            for _ in range(rng.randint(1, 4)):
+                q = q * IntPolynomial([rng.randint(-60, 60), rng.choice((1, 2, 3, -1))])
+            try:
+                fast = roots_mod_p(q, p)
+            except PolynomialVanishesModP:
+                continue
+            assert fast == brute_roots(q, p.value), (q, p)
+
+    @pytest.mark.parametrize("q", [Q1, Q3, E12], ids=["Q1", "Q3", "E12"])
+    def test_both_sides_of_threshold(self, q):
+        assert 3 < padic.SCAN_THRESHOLD < 300
+        for p in primes_first(62)[1:]:  # 3 to 293
+            assert roots_mod_p(q, p) == brute_roots(q, p.value), p
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5, 7, 13, 10007, 2**61 - 1]),
+        data=st.data(),
+    )
+    def test_mulmod_equals_mul_then_divide(self, p, data):
+        coeffs = st.integers(0, p - 1)
+        f = data.draw(st.lists(coeffs, min_size=1, max_size=13)) + [1]
+        a = data.draw(st.lists(coeffs, max_size=15))
+        b = data.draw(st.one_of(st.just(a), st.lists(coeffs, max_size=15)))  # squares too
+        assert padic._gf_mulmod(a, b, f, p) == mul_then_divide(a, b, f, p)
+
+    @pytest.mark.parametrize("p, residue, modulus", [
+        (43, 3, 4), (10007, 3, 4), (13, 5, 8), (1013, 5, 8), (17, 1, 16), (7681, 1, 16)])
+    def test_sqrt_mod(self, p, residue, modulus):
+        assert is_prime(p) and p % modulus == residue
+        for a in {b * b % p for b in range(1, p)}:
+            r = padic._sqrt_mod(a, p)
+            assert 0 <= r < p and r * r % p == a
 
     def test_large_prime(self):
         p = Prime(104729)
