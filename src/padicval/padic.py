@@ -112,8 +112,6 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n < _SMALL_PRIMES[-1] ** 2:
-        return True
     return (
         _strong_probable_prime_base2(n)
         and math.isqrt(n) ** 2 != n
