@@ -12,9 +12,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd
-from typing import Iterable
+from typing import Iterator
 
 from .errors import NotHenselPrimeError, ValuationOfZeroError
 from .padic import (
@@ -26,7 +26,7 @@ from .padic import (
     primes_first,
 )
 from .poly import IntPolynomial, integer_poly_gcd, poly_divexact
-from .recurrence import RecurrenceSpec, term_valuations, valuation_tn, write_csv
+from .recurrence import RecurrenceSpec, valuation_blocks, valuation_tn, write_series
 
 
 def predicted_slope_hensel(q: IntPolynomial, p: Prime) -> Fraction:
@@ -84,11 +84,8 @@ class ErrorSeries:
 
     CSV_HEADER = ("n", "err", "relerr")
 
-    def rows(self) -> Iterable[tuple[int, int, int]]:
-        return zip(range(1, len(self.err) + 1), self.err, self.relerr)
-
     def to_csv(self) -> str:
-        return write_csv(self.CSV_HEADER, self.rows())
+        return write_series(None, "csv", self.CSV_HEADER, lambda: [(self.err, self.relerr)])
 
     def to_json(self) -> dict:
         return {
@@ -99,15 +96,25 @@ class ErrorSeries:
         }
 
 
-def error_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> ErrorSeries:
-    """Normalized error z_p*n - (p-1)*valuation and its first difference.
+def error_blocks(spec: RecurrenceSpec, p: Prime, n_max: int, z_p: int
+                 ) -> Iterator[tuple[list[int], list[int]]]:
+    """(err, relerr) for n = 1 .. n_max, block by block.
 
-    The difference at n is z_p - (p-1)*v_p(Q(n0+n)), and err its running sum.
+    relerr at n is z_p - (p-1)*v_p(Q(n0+n)), and err its running sum.
     """
+    pm1, err = p.value - 1, 0
+    for block in valuation_blocks(spec, p, n_max):
+        relerr = [z_p - pm1 * v for v in block]
+        errs = list(accumulate(relerr, initial=err))[1:]
+        err = errs[-1]
+        yield errs, relerr
+
+
+def error_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> ErrorSeries:
+    """Normalized error z_p*n - (p-1)*valuation and its first difference."""
     zp = classify_prime(spec.poly, p).z_p
-    pm1 = p.value - 1
-    relerr = tuple(zp - pm1 * v for v in term_valuations(spec, p, n_max))
-    return ErrorSeries(p, zp, tuple(accumulate(relerr)), relerr)
+    err, relerr = zip(*error_blocks(spec, p, n_max, zp))
+    return ErrorSeries(p, zp, tuple(chain.from_iterable(err)), tuple(chain.from_iterable(relerr)))
 
 
 def scan_primes(

@@ -8,18 +8,19 @@ success, 1 on domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import sys
-from typing import Callable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from . import analysis, padic, recurrence, reproduce
 from .analysis import format_fraction
 from .errors import PadicValError, ParseError
 from .parser import parse_poly
 from .poly import IntPolynomial, format_poly
-from .recurrence import write_csv
 
 # A command's output: its whole text, or a function writing it to a stream.
 Output = "str | Callable[[TextIO], object]"
@@ -62,13 +63,13 @@ def _emit(output: Output, out_path: str | None) -> None:
         write(sys.stdout)
 
 
-def _series_output(series, fmt: str) -> Output:
-    """A ValuationSeries or ErrorSeries, its rows streamed unless JSON."""
-    if fmt == "json":
-        return json.dumps(series.to_json(), sort_keys=True) + "\n"
-    if fmt == "csv":
-        return functools.partial(write_csv, series.CSV_HEADER, series.rows())
-    return lambda fh: fh.writelines(" ".join(map(str, row)) + "\n" for row in series.rows())
+def _csv(header: Iterable, rows: Iterable[Iterable]) -> str:
+    """Header and rows as comma-separated lines."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def _add_common(sub, poly=True, prime=True):
@@ -142,7 +143,7 @@ def _cmd_roots(args) -> str:
         payload = {"p": args.prime.value, "poly": format_poly(args.poly), "roots": roots}
         return json.dumps(payload, sort_keys=True) + "\n"
     if args.format == "csv":
-        return write_csv(["root"], [[r] for r in roots])
+        return _csv(["root"], [[r] for r in roots])
     return " ".join(str(r) for r in roots) + "\n"
 
 
@@ -159,7 +160,7 @@ def _cmd_classify(args) -> str:
     if args.format == "json":
         return json.dumps(cls.to_json(), sort_keys=True) + "\n"
     if args.format == "csv":
-        return write_csv(_CLASSIFICATION_HEADER, [_classification_row(cls)])
+        return _csv(_CLASSIFICATION_HEADER, [_classification_row(cls)])
     return (
         f"{cls.verdict.value} roots={','.join(map(str, cls.roots))}"
         f" non_hensel={','.join(map(str, cls.non_hensel_roots))}\n"
@@ -189,8 +190,8 @@ def _cmd_lift(args) -> str:
         payload["value"] = value
         return json.dumps(payload, sort_keys=True) + "\n"
     if args.format == "csv":
-        return write_csv(["s", "digit", "truncation"],
-                         [[s, d, root.truncation_value(s)] for s, d in enumerate(root.digits)])
+        return _csv(["s", "digit", "truncation"],
+                    zip(range(root.precision), root.digits, root.truncations()))
     return f"digits={','.join(map(str, root.digits))} value={value}\n"
 
 
@@ -212,13 +213,17 @@ def _cmd_valuation(args) -> str:
                    "n": args.n, "valuation": v}
         return json.dumps(payload, sort_keys=True) + "\n"
     if args.format == "csv":
-        return write_csv(["n", "valuation"], [[args.n, v]])
+        return _csv(["n", "valuation"], [[args.n, v]])
     return f"{v}\n"
 
 
 def _cmd_series(args) -> Output:
-    return _series_output(recurrence.valuation_series(_make_spec(args), args.prime, args.n_max),
-                          args.format)
+    spec, p = _make_spec(args), args.prime
+    fields = {"p": p.value, "poly": format_poly(spec.poly), "n0": spec.start_index, "values": None}
+    return functools.partial(recurrence.write_series, fmt=args.format,
+                             header=recurrence.ValuationSeries.CSV_HEADER,
+                             blocks=lambda: recurrence.series_blocks(spec, p, args.n_max),
+                             json_fields=fields)
 
 
 def _cmd_slope(args) -> str:
@@ -228,15 +233,20 @@ def _cmd_slope(args) -> str:
     if args.format == "csv":
         rows = [["exact", format_fraction(report.predicted), format_fraction(report.n_p)]]
         rows += [[f"empirical_n={n}", format_fraction(v), ""] for n, v in report.empirical]
-        return write_csv(["kind", "E", "N"], rows)
+        return _csv(["kind", "E", "N"], rows)
     parts = [f"E={format_fraction(report.predicted)} N={format_fraction(report.n_p)}"]
     parts += [f"empirical(n={n})={format_fraction(v)}" for n, v in report.empirical]
     return " ".join(parts) + "\n"
 
 
 def _cmd_errors(args) -> Output:
-    return _series_output(analysis.error_series(_make_spec(args), args.prime, args.n_max),
-                          args.format)
+    spec, p = _make_spec(args), args.prime
+    zp = padic.classify_prime(spec.poly, p).z_p
+    fields = {"p": p.value, "z_p": zp, "err": None, "relerr": None}
+    return functools.partial(recurrence.write_series, fmt=args.format,
+                             header=analysis.ErrorSeries.CSV_HEADER,
+                             blocks=lambda: analysis.error_blocks(spec, p, args.n_max, zp),
+                             json_fields=fields)
 
 
 def _cmd_scan(args) -> str:
@@ -245,7 +255,7 @@ def _cmd_scan(args) -> str:
         return json.dumps([c.to_json() for _, c in results], sort_keys=True) + "\n"
     rows = [_classification_row(c) for _, c in results]
     if args.format == "csv":
-        return write_csv(_CLASSIFICATION_HEADER, rows)
+        return _csv(_CLASSIFICATION_HEADER, rows)
     return "".join(f"{r[0]} {r[1]} roots={r[2]} non_hensel={r[3]}\n" for r in rows)
 
 

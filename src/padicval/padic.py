@@ -12,6 +12,8 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator
 
 from .errors import (
     NotARootError,
@@ -459,14 +461,19 @@ class HenselRoot:
     def precision(self) -> int:
         return len(self.digits)
 
+    def truncations(self) -> Iterator[int]:
+        """truncation_value(s) for s = 0, 1, ..., one digit added at a time."""
+        acc, ps = 0, 1
+        for d in self.digits:
+            acc += d * ps
+            ps *= self.p.value
+            yield acc
+
     def truncation_value(self, s: int) -> int:
         """The integer formed by digits 0..s, in [0, p^(s+1) - 1]."""
         if not 0 <= s < len(self.digits):
             raise IndexError(f"truncation index {s} out of range [0, {len(self.digits) - 1}]")
-        acc = 0
-        for d in reversed(self.digits[: s + 1]):
-            acc = acc * self.p.value + d
-        return acc
+        return next(islice(self.truncations(), s, None))
 
     def to_json(self) -> dict:
         return {"p": self.p.value, "digits": list(self.digits)}

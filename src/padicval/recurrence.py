@@ -9,27 +9,15 @@ which evaluates at most one term per class.
 
 from __future__ import annotations
 
-import csv
 import io
+import json
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Iterator, TextIO
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .errors import HasIntegerRootError, NotHenselPrimeError, ZeroPolynomialError
 from .padic import Prime, classify_prime, descent_step, hensel_digit, int_valuation
 from .poly import IntPolynomial, format_poly, nonneg_integer_roots
-
-
-def write_csv(header: Iterable, rows: Iterable[Iterable], out: TextIO | None = None) -> str | None:
-    """Header and rows as comma-separated lines, written to out as they come.
-
-    Without out the text is returned instead.
-    """
-    buf = io.StringIO() if out is None else out
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue() if out is None else None
 
 
 @dataclass(frozen=True)
@@ -128,6 +116,81 @@ def valuation_tn_fast(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     return valuation_tn(spec, p, n)
 
 
+BLOCK = 1 << 14  # window indices per walk: the series hold O(BLOCK) values at a time, not O(n)
+
+
+def valuation_blocks(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[list[int]]:
+    """v_p(Q(i)) for i = n0+1 .. n0+n, in order, BLOCK values to a list (the
+    last may hold fewer).  Each block is its own walk of residue_classes,
+    filled one slice values[start::A] per class."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    for s in range(0, n, BLOCK):
+        lo, size = spec.start_index + s, min(BLOCK, n - s)
+        values = [0] * size
+        for a, b, w, _ in residue_classes(RecurrenceSpec(spec.poly, lo), p, size):
+            start = (b - lo - 1) % a
+            values[start::a] = [v + w for v in values[start::a]]
+        yield values
+
+
+def term_valuations(spec: RecurrenceSpec, p: Prime, n: int) -> list[int]:
+    """v_p(Q(i)) for i = n0+1 .. n0+n, in order."""
+    return list(chain.from_iterable(valuation_blocks(spec, p, n)))
+
+
+def series_blocks(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[list[int]]]:
+    """The valuations of t_1 .. t_n as one-column blocks: running sums of valuation_blocks."""
+    total = 0
+    for block in valuation_blocks(spec, p, n):
+        sums = list(accumulate(block, initial=total))[1:]
+        total = sums[-1]
+        yield (sums,)
+
+
+def write_series(out: TextIO | None, fmt: str, header: tuple[str, ...],
+                 blocks: Callable[[], Iterable[tuple[Iterable[int], ...]]],
+                 json_fields: dict | None = None) -> str | None:
+    """An integer series as csv, table or json, written block by block.
+
+    Each call of blocks() walks the series afresh and yields, per block,
+    its columns after n, which counts from 1.  json is what
+    json.dumps(json_fields, sort_keys=True) gives once each key whose value
+    is None holds its column's list (columns in key order); it walks the
+    series once per such key.  Without out the text is returned instead.
+    """
+    buf = io.StringIO() if out is None else out
+    if fmt == "json":
+        streamed = [key for key, value in json_fields.items() if value is None]
+        buf.write("{")
+        for i, key in enumerate(sorted(json_fields)):
+            buf.write((", " if i else "") + json.dumps(key) + ": ")
+            if key in streamed:
+                j = streamed.index(key)
+                buf.write("[")
+                buf.writelines((", " if b else "") + ", ".join(map(str, cols[j]))
+                               for b, cols in enumerate(blocks()))
+                buf.write("]")
+            else:
+                buf.write(json.dumps(json_fields[key]))
+        buf.write("}\n")
+    else:
+        width = len(header)
+        row = ("," if fmt == "csv" else " ").join(["%d"] * width) + "\n"
+        if fmt == "csv":
+            buf.write(",".join(header) + "\n")
+        n = 1
+        for cols in blocks():
+            k = len(cols[0])
+            flat = [None] * (k * width)  # the block's rows, one value after another
+            flat[::width] = range(n, n + k)
+            for j, col in enumerate(cols, 1):
+                flat[j::width] = col
+            buf.write((row * k) % tuple(flat))
+            n += k
+    return buf.getvalue() if out is None else None
+
+
 @dataclass(frozen=True)
 class ValuationSeries:
     p: Prime
@@ -139,11 +202,8 @@ class ValuationSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def rows(self) -> Iterable[tuple[int, int]]:
-        return enumerate(self.values, start=1)
-
     def to_csv(self) -> str:
-        return write_csv(self.CSV_HEADER, self.rows())
+        return write_series(None, "csv", self.CSV_HEADER, lambda: [(self.values,)])
 
     def to_json(self) -> dict:
         return {
@@ -154,21 +214,12 @@ class ValuationSeries:
         }
 
 
-def term_valuations(spec: RecurrenceSpec, p: Prime, n: int) -> list[int]:
-    """v_p(Q(i)) for i = n0+1 .. n0+n, in order, filled one residue class at a time."""
-    lo = spec.start_index
-    values = [0] * n
-    for a, b, w, _ in residue_classes(spec, p, n):
-        start = (b - lo - 1) % a
-        values[start::a] = [v + w for v in values[start::a]]
-    return values
-
-
 def valuation_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> ValuationSeries:
     """Prefix sums of the per-term valuations, one multiplier per step."""
-    return ValuationSeries(p, spec, tuple(accumulate(term_valuations(spec, p, n_max))))
+    values = chain.from_iterable(col for col, in series_blocks(spec, p, n_max))
+    return ValuationSeries(p, spec, tuple(values))
 
 
 def max_power_index(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     """Largest e with p^e dividing some multiplier in the window (r_n)."""
-    return max(term_valuations(spec, p, n))
+    return max(map(max, valuation_blocks(spec, p, n)))

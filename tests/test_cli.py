@@ -1,8 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -10,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicval import cli
+from padicval import analysis, cli, recurrence
 from padicval.cli import main
+from padicval.padic import Prime
+from padicval.parser import parse_poly
 from padicval.poly import IntPolynomial, format_poly
 
 
@@ -83,6 +87,13 @@ class TestLift:
                   "--precision", str(limit + 1)])
         assert e.value.code == 2
         assert "--precision: must be <= 6150" in capsys.readouterr().err
+
+    def test_golden_csv(self, capsys):
+        code, out, _ = run(capsys, "lift", "--poly", "x^2+1", "--prime", "5", "--root", "2",
+                           "--precision", "300", "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "b4eec62588027598770047a27c02c730ad5e4db811eb6525ac22dbcf63367172"
 
     def test_not_simple_is_domain_error(self, capsys):
         code, _, err = run(capsys, "lift", "--poly", "x^3+1", "--prime", "3",
@@ -168,6 +179,59 @@ class TestSeries:
     def test_table_streamed(self, capsys):
         _, out, _ = run(capsys, "series", "--poly", "x^2+1", "--prime", "5", "--n-max", "3")
         assert out == "1 0\n2 1\n3 2\n"
+
+
+class TestStreamedSeries:
+    """series and errors stream their rows block by block."""
+
+    @pytest.mark.parametrize("poly, p, command, digest", [
+        ("x^5+2x^3+3", 3, "series", "39478f6cdf514ce0fe70348a4556bbb63f00472f0ba3e5747331fddec66fc2ae"),
+        ("x^5+2x^3+3", 3, "errors", "9dfbe7472933cec7a52c15980b69cd8516e0319056c369aaf39dcdb87dde5f78"),
+        ("x^5+2x^3+3", 5, "series", "e56b4b2b5969e5752fcb847fd35995f632f7242ae960066342a8d0ac6cf9870f"),
+        ("x^5+2x^3+3", 5, "errors", "ce82571f107e7c5c5f131e474b270d109d6b75e33e00c3348e181081a7fd3b70"),
+        ("x", 2, "series", "b6f83d46c4b3dcc16f20573c8b7e0541938dd882a6dcf909eea38403c0047a80"),
+        ("x", 2, "errors", "5df84fa14743153935a9ea4d90448a7b06efcb4721600c22ee43e2f07039dc87"),
+        ("3x^2+3", 3, "series", "d094e2d42cabd3f8160773e03704abed1b5f585b00dd9bb28b5189719587055b"),
+        ("3x^2+3", 3, "errors", "c4abd9451dd84319587a365b55262a16ad5e5db9e1c8d4843c8fea350630c705"),
+    ])
+    def test_golden(self, capsys, poly, p, command, digest):
+        # csv, table and json one after another, as the whole-window code wrote them;
+        # n = 3 * 2^14 + 5 crosses three block boundaries at BLOCK = 2^14
+        h = hashlib.sha256()
+        for fmt in ("csv", "table", "json"):
+            code, out, _ = run(capsys, command, "--poly", poly, "--prime", str(p),
+                               "--n-max", "49157", "--format", fmt)
+            assert code == 0
+            h.update(out.encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 22])
+    @pytest.mark.parametrize("poly, p", [("x^5+2x^3+3", 3), ("3x^2+3", 3), ("x^2-5x+6", 2)])
+    def test_equals_the_library_series(self, capsys, monkeypatch, poly, p, n):
+        monkeypatch.setattr(recurrence, "BLOCK", 7)
+        spec, prime = recurrence.make_spec(parse_poly(poly)), Prime(p)
+        for command, series in (("series", recurrence.valuation_series(spec, prime, n)),
+                                ("errors", analysis.error_series(spec, prime, n))):
+            argv = (command, "--poly", poly, "--prime", str(p), "--n-max", str(n), "--format")
+            csv_text = series.to_csv()
+            assert run(capsys, *argv, "csv")[1] == csv_text
+            assert run(capsys, *argv, "table")[1] == "".join(
+                line.replace(",", " ") + "\n" for line in csv_text.splitlines()[1:])
+            assert run(capsys, *argv, "json")[1] == json.dumps(series.to_json(), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("command", ["series", "errors"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_n(self, command, fmt):
+        def peak(n):
+            tracemalloc.start()
+            try:
+                assert main([command, "--poly", "x^5+2x^3+3", "--prime", "3", "--n-max", str(n),
+                             "--format", fmt, "--out", os.devnull]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * 10**5) <= 1.25 * peak(10**5)
 
 
 class TestSlope:

@@ -314,6 +314,13 @@ class TestHenselLift:
             assert root.truncation_value(s + 1) % mod == root.truncation_value(s)
             assert q.evaluate(root.truncation_value(s)) % mod == 0
 
+    @pytest.mark.parametrize("q, p, a, k", [(Q1, P5, 3, 40), (IntPolynomial([1, 0, 1]), P5, 2, 60),
+                                            (IntPolynomial([-2, 0, 1]), P7, 3, 0),
+                                            (IntPolynomial([-3, 1]), Prime(2), 1, 25)])
+    def test_truncations_are_the_truncation_values(self, q, p, a, k):
+        root = hensel_lift(q, p, a, k)
+        assert list(root.truncations()) == [root.truncation_value(s) for s in range(k + 1)]
+
     def test_serialization(self):
         root = hensel_lift(IntPolynomial([1, 0, 1]), P5, 2, 2)
         assert root.to_json() == {"p": 5, "digits": [2, 1, 2]}

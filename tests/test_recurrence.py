@@ -1,8 +1,13 @@
 import random
+from itertools import accumulate
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from padicval import recurrence
+from padicval.analysis import error_series
 
 from padicval.errors import HasIntegerRootError, NotHenselPrimeError, ZeroPolynomialError
 from padicval.padic import Prime, Verdict, classify_prime, digit_sum, int_valuation, is_prime
@@ -13,6 +18,7 @@ from padicval.recurrence import (
     make_spec,
     max_power_index,
     term_valuations,
+    valuation_blocks,
     valuation_series,
     valuation_tn,
     valuation_tn_direct,
@@ -196,6 +202,39 @@ class TestTree:
     def test_paper_non_hensel_primes(self, pv):
         spec = make_spec(Q1)
         assert valuation_tn(spec, Prime(pv), 3000) == valuation_tn_direct(spec, Prime(pv), 3000)
+
+
+class TestBlocks:
+    """The series walk the window in blocks; a tiny block makes every case cross many."""
+
+    L = 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree_cases(), st.integers(1, 40), st.sampled_from((-1, 0, 1)))
+    @example((make_spec(Q1), P3, 0), 3, 1)                           # non-Hensel
+    @example((make_spec(IntPolynomial([3, 0, 3])), P3, 0), 2, -1)    # p | content(Q)
+    @example((make_spec(IntPolynomial([6, -5, 1])), P2, 0), 4, 0)    # starts at n0 = 3
+    def test_blocked_equals_unblocked(self, case, k, d):
+        spec, p, _ = case
+        n = k * self.L + d
+        lo, pm1 = spec.start_index, p.value - 1
+        terms = [int_valuation(spec.poly.evaluate(i), p) for i in range(lo + 1, lo + n + 1)]
+        with mock.patch.object(recurrence, "BLOCK", self.L):
+            assert [len(b) for b in valuation_blocks(spec, p, n)] == \
+                [self.L] * (n // self.L) + [n % self.L] * (n % self.L > 0)
+            assert term_valuations(spec, p, n) == terms
+            series = valuation_series(spec, p, n)
+            assert series.values == tuple(accumulate(terms))
+            assert series.values[-1] == valuation_tn_direct(spec, p, n)
+            assert max_power_index(spec, p, n) == max(terms)
+            es = error_series(spec, p, n)
+        relerr = [es.z_p - pm1 * v for v in terms]
+        assert es.z_p == classify_prime(spec.poly, p).z_p
+        assert es.relerr == tuple(relerr) and es.err == tuple(accumulate(relerr))
+
+    def test_n_below_one(self):
+        with pytest.raises(ValueError):
+            next(valuation_blocks(make_spec(X), P2, 0))
 
 
 class TestSeries:
