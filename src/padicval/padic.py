@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+import struct
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator
@@ -25,10 +26,12 @@ from .poly import IntPolynomial
 
 # Below the threshold an exhaustive residue scan finds roots; above it we
 # first split off the product of linear factors via gcd with x^p - x.  On
-# the 564 primes below 4096, every threshold from 8 to 256 classified Q
-# within about 5% of the fastest, at degrees 2, 5, 8 and 12; 4096 took 6
-# to 7 times as long at degrees 5 to 12, and 90 times at degree 2.  It
-# must stay above 2: the quadratic formula needs an odd p.
+# the 564 primes below 4096, at degrees 2, 5, 8 and 12 (best of five runs,
+# two sets, on a shared 2-core host whose run-to-run spread is about 25%),
+# every threshold from 4 to 128 classified Q within that spread of the
+# fastest, and so did 256 except at degree 2 (1.5 to 1.7 times); 4096
+# took 10 to 15 times as long at degrees 5 to 12, and 94 to 132 times at
+# degree 2.  It must stay above 2: the quadratic formula needs an odd p.
 SCAN_THRESHOLD = 64
 
 # Trial division by these primes comes before the probable-prime tests.
@@ -218,37 +221,6 @@ def _gf_monic(a: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _gf_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """a*b mod monic f.
-
-    The schoolbook product is accumulated in Python ints and reduced by f
-    from the top down, with one % p per coefficient.  Squaring (a is b)
-    takes each cross product once.
-    """
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    if a is b:
-        for i, x in enumerate(a):
-            if x:
-                prod[2 * i] += x * x
-                x2 = x + x
-                for j in range(i + 1, len(a)):
-                    prod[i + j] += x2 * a[j]
-    else:
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    prod[j] += x * y
-    n = len(f) - 1
-    for i in range(len(prod) - 1, n - 1, -1):
-        c = prod[i] % p
-        if c:
-            for j in range(n):
-                prod[i - n + j] -= c * f[j]
-    return _gf_trim([c % p for c in prod[:n]])
-
-
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     inv = pow(b[-1], -1, p)
     r = list(a)
@@ -271,14 +243,56 @@ def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return _gf_monic(a, p) if a else a
 
 
-def _gf_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """base^e mod monic f, by left-to-right square and multiply."""
-    result = [1]
+def _gf_powmod(a: int, e: int, f: list[int], p: int) -> list[int]:
+    """(x + a)^e mod monic f of degree n, by left-to-right square and multiply.
+
+    Kronecker substitution: a residue is one int with coefficient i in slot
+    i, so a polynomial product is one int product.  A slot is the fewest
+    64-bit limbs that hold 2*n^2*p^3, so no slot ever carries:
+    - a square has slots below n*p^2, and times x + a below n*p^3;
+    - its slots at k >= n, reduced mod p, are h; the quotient by f is
+      q = (h*v) div x^(n-1) with v = x^(2n-1) div f (Barrett), its slots
+      below n*p^2;
+    - the remainder is the low n slots plus q*g with g = x^n mod f, below
+      n*p^3 + n^2*p^3.
+    So a step is two passes of one % p per slot.
+    """
+    n = len(f) - 1
+    nb = 8 * -(-(2 * n * n * p**3).bit_length() // 64)  # bytes per slot
+    w = 8 * nb
+
+    def unpack(x: int) -> list[int]:
+        b = x.to_bytes(nb * n, "little")
+        return [int.from_bytes(b[i : i + nb], "little") for i in range(0, nb * n, nb)]
+
+    def pack(c: list[int]) -> int:
+        return int.from_bytes(b"".join([y.to_bytes(nb, "little") for y in c]), "little")
+
+    if nb == 8:  # one limb a slot: struct converts all n slots in one call
+        limbs = struct.Struct(f"<{n}Q")
+
+        def reduce(x: int) -> int:
+            c = limbs.unpack(x.to_bytes(8 * n, "little"))
+            return int.from_bytes(limbs.pack(*[y % p for y in c]), "little")
+
+    else:
+
+        def reduce(x: int) -> int:
+            return pack([y % p for y in unpack(x)])
+
+    v = pack(_gf_divmod([0] * (2 * n - 1) + [1], f, p)[0])
+    g = pack([-c % p for c in f[:n]])
+    mask = (1 << (w * n)) - 1
+    x = 1
     for bit in bin(e)[2:]:
-        result = _gf_mulmod(result, result, f, p)
+        x *= x
         if bit == "1":
-            result = _gf_mulmod(result, base, f, p)
-    return result
+            x = (x << w) + a * x
+        h = x >> (w * n)
+        if h:
+            x = (x + ((reduce(h) * v) >> (w * (n - 1))) * g) & mask
+        x = reduce(x)
+    return _gf_trim(unpack(x))
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -335,7 +349,7 @@ def _gf_linear_roots(g: list[int], p: int) -> list[int]:
         if d == 2:
             roots += _quadratic_roots(h[0], h[1], p)
             continue
-        w = _gf_powmod([rng.randrange(p), 1], (p - 1) // 2, h, p) or [0]
+        w = _gf_powmod(rng.randrange(p), (p - 1) // 2, h, p) or [0]
         w[0] = (w[0] - 1) % p
         d1 = _gf_gcd(h, _gf_trim(w), p)
         if 0 < len(d1) - 1 < d:
@@ -374,7 +388,7 @@ def roots_mod_p(q: IntPolynomial, p: Prime) -> list[int]:
         return [-f[0] % pv]
     if len(f) == 3:
         return _quadratic_roots(f[0], f[1], pv)
-    xp_minus_x = _gf_powmod([0, 1], pv, f, pv)
+    xp_minus_x = _gf_powmod(0, pv, f, pv)
     xp_minus_x += [0] * (2 - len(xp_minus_x))
     xp_minus_x[1] = (xp_minus_x[1] - 1) % pv
     g = _gf_gcd(f, _gf_trim(xp_minus_x), pv)

@@ -65,6 +65,25 @@ def mul_then_divide(a, b, f, p):
     return out
 
 
+def square_and_multiply(a, e, f, p):
+    """(x + a)^e mod (f, p), by left-to-right square and multiply on mul_then_divide."""
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = mul_then_divide(result, result, f, p)
+        if bit == "1":
+            result = mul_then_divide(result, [a, 1], f, p)
+    return result
+
+
+def integer_cube_root(m):
+    """The largest r with r^3 <= m."""
+    lo, hi = 0, 1 << (m.bit_length() // 3 + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**3 <= m else (lo, mid - 1)
+    return lo
+
+
 class TestPrime:
     def test_rejects_composites(self):
         # psi_12 and psi_13 are strong pseudoprimes to every base from 2 to 37 and to 41;
@@ -206,12 +225,27 @@ class TestRootsModP:
         p=st.sampled_from([2, 3, 5, 7, 13, 10007, 2**61 - 1]),
         data=st.data(),
     )
-    def test_mulmod_equals_mul_then_divide(self, p, data):
+    def test_powmod_equals_square_and_multiply(self, p, data):
         coeffs = st.integers(0, p - 1)
         f = data.draw(st.lists(coeffs, min_size=1, max_size=13)) + [1]
-        a = data.draw(st.lists(coeffs, max_size=15))
-        b = data.draw(st.one_of(st.just(a), st.lists(coeffs, max_size=15)))  # squares too
-        assert padic._gf_mulmod(a, b, f, p) == mul_then_divide(a, b, f, p)
+        a = data.draw(coeffs)
+        e = data.draw(st.one_of(st.sampled_from([0, 1, p, (p - 1) // 2]), st.integers(2, 300)))
+        assert padic._gf_powmod(a, e, f, p) == square_and_multiply(a, e, f, p)
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_powmod_worst_case_slots(self, n):
+        # every coefficient p - 1, at the largest prime whose slot bound 2*n^2*p^3
+        # fits in one, two and three limbs, and at the smallest prime past each
+        for limbs in (1, 2, 3):
+            top = integer_cube_root(((1 << (64 * limbs)) - 1) // (2 * n * n))
+            below = next(q for q in range(top, 0, -1) if is_prime(q))
+            past = next(q for q in range(top + 1, 2 * top) if is_prime(q))
+            bits = [(2 * n * n * q**3).bit_length() for q in (below, past)]
+            assert bits[0] <= 64 * limbs < bits[1]
+            for p in (below, past):
+                f = [p - 1] * n + [1]
+                want = square_and_multiply(p - 1, p, f, p)
+                assert padic._gf_powmod(p - 1, p, f, p) == want, (n, p)
 
     @pytest.mark.parametrize("p, residue, modulus", [
         (43, 3, 4), (10007, 3, 4), (13, 5, 8), (1013, 5, 8), (17, 1, 16), (7681, 1, 16)])
