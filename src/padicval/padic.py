@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
-import random
 import struct
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import mul
 from typing import Iterator
 
 from .errors import (
@@ -27,12 +27,19 @@ from .poly import IntPolynomial
 # Below the threshold an exhaustive residue scan finds roots; above it we
 # first split off the product of linear factors via gcd with x^p - x.  On
 # the 564 primes below 4096, at degrees 2, 5, 8 and 12 (best of five runs,
-# two sets, on a shared 2-core host whose run-to-run spread is about 25%),
-# every threshold from 4 to 128 classified Q within that spread of the
-# fastest, and so did 256 except at degree 2 (1.5 to 1.7 times); 4096
-# took 10 to 15 times as long at degrees 5 to 12, and 94 to 132 times at
-# degree 2.  It must stay above 2: the quadratic formula needs an odd p.
+# two sets, on a shared 2-core host whose run-to-run spread reached 1.6
+# times), every threshold from 4 to 128 classified Q within that spread of
+# the fastest, and so did 256 and 512 except at degree 2 (1.9 to 4.1
+# times); 4096 took 13 to 25 times as long at degrees 5 to 12, and 110 to
+# 151 times at degree 2.  It must stay above 2: the quadratic formula
+# needs an odd p.
 SCAN_THRESHOLD = 64
+
+# The shift a of the first split, which the x^p ladder computes as
+# (x + a)^p = x^p + a.  It must be nonzero: at a = 0 roots of unity of one
+# order share their quadratic character, and the first split would leave
+# every such product whole.
+_FIRST_SHIFT = 1
 
 # Trial division by these primes comes before the probable-prime tests.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -236,16 +243,31 @@ def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
 
 
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a and b, by one Euclid loop on copies of them.
+
+    Each remainder is computed in place in the dividend: its top
+    coefficient times -1/lc(divisor) cancels it, and the coefficients from
+    the divisor's degree up are then dropped.  No quotient is built.
+    """
     a, b = list(a), list(b)
     while b:
-        _, r = _gf_divmod(a, b, p)
-        a, b = b, r
+        inv = -pow(b[-1], -1, p)
+        db = len(b) - 1
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] * inv % p
+            if c:
+                for j in range(db):
+                    a[i - db + j] = (a[i - db + j] + c * b[j]) % p
+        del a[db:]
+        a, b = b, _gf_trim(a)
     return _gf_monic(a, p) if a else a
 
 
-def _gf_powmod(a: int, e: int, f: list[int], p: int) -> list[int]:
-    """(x + a)^e mod monic f of degree n, by left-to-right square and multiply.
+def _gf_powmod(a: int, e: int, f: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(x + a)^e and (x + a)^(e >> 1) mod monic f of degree n, for 0 <= a < p.
 
+    Left-to-right square and multiply: the value before the last step is
+    the half power, so (x + a)^p comes with (x + a)^((p-1)/2).
     Kronecker substitution: a residue is one int with coefficient i in slot
     i, so a polynomial product is one int product.  A slot is the fewest
     64-bit limbs that hold 2*n^2*p^3, so no slot ever carries:
@@ -255,36 +277,63 @@ def _gf_powmod(a: int, e: int, f: list[int], p: int) -> list[int]:
       below n*p^2;
     - the remainder is the low n slots plus q*g with g = x^n mod f, below
       n*p^3 + n^2*p^3.
-    So a step is two passes of one % p per slot.
+    So a step is two passes of one % p per slot.  A struct of 64-bit limbs
+    converts a residue to and from slots of one or two limbs in one call.
     """
     n = len(f) - 1
-    nb = 8 * -(-(2 * n * n * p**3).bit_length() // 64)  # bytes per slot
-    w = 8 * nb
+    k = -(-(2 * n * n * p**3).bit_length() // 64)  # limbs per slot
+    w = 64 * k
+    limbs = struct.Struct(f"<{k * n}Q")
+    if k == 1:
 
-    def unpack(x: int) -> list[int]:
-        b = x.to_bytes(nb * n, "little")
-        return [int.from_bytes(b[i : i + nb], "little") for i in range(0, nb * n, nb)]
+        def unpack(x: int) -> list[int]:
+            return list(limbs.unpack(x.to_bytes(8 * n, "little")))
 
-    def pack(c: list[int]) -> int:
-        return int.from_bytes(b"".join([y.to_bytes(nb, "little") for y in c]), "little")
-
-    if nb == 8:  # one limb a slot: struct converts all n slots in one call
-        limbs = struct.Struct(f"<{n}Q")
+        def pack(c: list[int]) -> int:
+            return int.from_bytes(limbs.pack(*c), "little")
 
         def reduce(x: int) -> int:
             c = limbs.unpack(x.to_bytes(8 * n, "little"))
             return int.from_bytes(limbs.pack(*[y % p for y in c]), "little")
 
-    else:
+    elif k == 2:  # p < 2^43, so a coefficient below p fits the low limb
+
+        def unpack(x: int) -> list[int]:
+            c = limbs.unpack(x.to_bytes(16 * n, "little"))
+            return [s | t << 64 for s, t in zip(c[0::2], c[1::2])]
+
+        def pack(c: list[int]) -> int:
+            out = [0] * (2 * n)
+            out[0::2] = c
+            return int.from_bytes(limbs.pack(*out), "little")
+
+        def reduce(x: int) -> int:
+            c = limbs.unpack(x.to_bytes(16 * n, "little"))
+            return pack([(s | t << 64) % p for s, t in zip(c[0::2], c[1::2])])
+
+    else:  # byte slices: no slower than joining three or more limbs a slot
+
+        def unpack(x: int) -> list[int]:
+            b = x.to_bytes(8 * k * n, "little")
+            return [int.from_bytes(b[i : i + 8 * k], "little") for i in range(0, 8 * k * n, 8 * k)]
+
+        def pack(c: list[int]) -> int:
+            return int.from_bytes(b"".join([y.to_bytes(8 * k, "little") for y in c]), "little")
 
         def reduce(x: int) -> int:
             return pack([y % p for y in unpack(x)])
 
-    v = pack(_gf_divmod([0] * (2 * n - 1) + [1], f, p)[0])
+    # v = x^(2n-1) div f reversed is the power series 1/rev(f) mod x^n
+    r = f[-2::-1]
+    s = [1]
+    for i in range(1, n):
+        s.append(-sum(map(mul, r[:i], s[::-1])) % p)
+    v = pack(s[::-1])
     g = pack([-c % p for c in f[:n]])
     mask = (1 << (w * n)) - 1
-    x = 1
+    x = half = 1
     for bit in bin(e)[2:]:
+        half = x
         x *= x
         if bit == "1":
             x = (x << w) + a * x
@@ -292,7 +341,7 @@ def _gf_powmod(a: int, e: int, f: list[int], p: int) -> list[int]:
         if h:
             x = (x + ((reduce(h) * v) >> (w * (n - 1))) * g) & mask
         x = reduce(x)
-    return _gf_trim(unpack(x))
+    return _gf_trim(unpack(x)), _gf_trim(unpack(half))
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -331,13 +380,15 @@ def _quadratic_roots(c0: int, c1: int, p: int) -> list[int]:
     return sorted({(s - c1) * half % p, (-s - c1) * half % p})
 
 
-def _gf_linear_roots(g: list[int], p: int) -> list[int]:
+def _gf_linear_roots(g: list[int], p: int, a: int, w: list[int] | None) -> list[int]:
     """Roots of a monic product g of distinct linear factors, by splitting.
 
     Factors of degree 1 and 2 are solved in closed form; a larger factor h
-    is split by gcd(h, (x + a)^((p-1)/2) - 1) for random a.
+    is split by gcd(h, (x + a)^((p-1)/2) - 1) (Cantor-Zassenhaus).  The
+    first split takes w = (x + a)^((p-1)/2) mod a multiple of g, and each
+    later one the next shift a + 1, a + 2, ... mod p.  Some shift in every
+    p consecutive ones separates any two roots, so the loop ends.
     """
-    rng = random.Random(p)
     roots: list[int] = []
     stack = [g]
     while stack:
@@ -349,9 +400,13 @@ def _gf_linear_roots(g: list[int], p: int) -> list[int]:
         if d == 2:
             roots += _quadratic_roots(h[0], h[1], p)
             continue
-        w = _gf_powmod(rng.randrange(p), (p - 1) // 2, h, p) or [0]
+        if w is None:
+            a = (a + 1) % p
+            w = _gf_powmod(a, (p - 1) // 2, h, p)[0]
+        w = w or [0]
         w[0] = (w[0] - 1) % p
         d1 = _gf_gcd(h, _gf_trim(w), p)
+        w = None
         if 0 < len(d1) - 1 < d:
             stack += [d1, _gf_divmod(h, d1, p)[0]]
         else:
@@ -374,8 +429,9 @@ def roots_mod_p(q: IntPolynomial, p: Prime) -> list[int]:
 
     Small p: exhaustive scan.  Large p: degrees 1 and 2 in closed form;
     otherwise reduce to the product of the distinct linear factors via gcd
-    with x^p - x (x^p computed by square and multiply in the quotient
-    ring), then split that product into roots.
+    with x^p - x = (x + a)^p - (x + a), a = _FIRST_SHIFT, then split that
+    product into roots.  The powmod ladder for (x + a)^p mod q passes
+    through (x + a)^((p-1)/2), which gives the first split for free.
     """
     pv = p.value
     f = _reduced_coeffs(q, pv)
@@ -388,13 +444,15 @@ def roots_mod_p(q: IntPolynomial, p: Prime) -> list[int]:
         return [-f[0] % pv]
     if len(f) == 3:
         return _quadratic_roots(f[0], f[1], pv)
-    xp_minus_x = _gf_powmod(0, pv, f, pv)
+    a = _FIRST_SHIFT
+    xp_minus_x, half = _gf_powmod(a, pv, f, pv)
     xp_minus_x += [0] * (2 - len(xp_minus_x))
+    xp_minus_x[0] = (xp_minus_x[0] - a) % pv
     xp_minus_x[1] = (xp_minus_x[1] - 1) % pv
     g = _gf_gcd(f, _gf_trim(xp_minus_x), pv)
     if len(g) <= 1:
         return []
-    return sorted(_gf_linear_roots(g, pv))
+    return sorted(_gf_linear_roots(g, pv, a, half))
 
 
 # -- classification -------------------------------------------------------

@@ -311,9 +311,12 @@ class TestScan:
     @pytest.mark.parametrize("poly, digest", [
         ("x^5+2x^3+3", "1ff8f8a491af202dc892bb2ec4101b22cb31e7661dede009b26821a68761d26f"),
         ("x^8+x^5+x^3+1", "2a21d02b4c21ad59c1f9c06cd94b54085ca02a56c3ef409998f1951b2a252064"),
+        ("x^12+2x^11+14x^10-6x^8+2x^7+4x^6-8x^5+10x^4+2x^2-4x+6",
+         "045e0adf70b612bf37641673485d6185c30089374c32ce1c1c7720472768179f"),
     ])
     def test_golden_csv(self, capsys, poly, digest):
-        # the output when the first 1000 primes all took the exhaustive scan (threshold 4096)
+        # the first two digests are the output when the first 1000 primes all took the
+        # exhaustive scan (threshold 4096); the degree-12 one was taken with random splits
         code, out, _ = run(capsys, "scan", "--poly", poly, "--count", "1000", "--format", "csv")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -75,6 +75,33 @@ def square_and_multiply(a, e, f, p):
     return result
 
 
+def gf_mul(a, b, p):
+    """a*b in GF(p)[x], trimmed."""
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    out = [c % p for c in prod]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def euclid(a, b, p):
+    """Monic gcd in GF(p)[x] by the textbook remainder sequence."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        r = list(a)
+        while len(r) >= len(b):
+            c = r[-1] * inv % p
+            for j, y in enumerate(b, len(r) - len(b)):
+                r[j] = (r[j] - c * y) % p
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, r
+    return [c * pow(a[-1], -1, p) % p for c in a] if a else []
+
+
 def integer_cube_root(m):
     """The largest r with r^3 <= m."""
     lo, hi = 0, 1 << (m.bit_length() // 3 + 1)
@@ -230,7 +257,8 @@ class TestRootsModP:
         f = data.draw(st.lists(coeffs, min_size=1, max_size=13)) + [1]
         a = data.draw(coeffs)
         e = data.draw(st.one_of(st.sampled_from([0, 1, p, (p - 1) // 2]), st.integers(2, 300)))
-        assert padic._gf_powmod(a, e, f, p) == square_and_multiply(a, e, f, p)
+        want = square_and_multiply(a, e, f, p), square_and_multiply(a, e >> 1, f, p)
+        assert padic._gf_powmod(a, e, f, p) == want
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_powmod_worst_case_slots(self, n):
@@ -244,8 +272,34 @@ class TestRootsModP:
             assert bits[0] <= 64 * limbs < bits[1]
             for p in (below, past):
                 f = [p - 1] * n + [1]
-                want = square_and_multiply(p - 1, p, f, p)
+                want = square_and_multiply(p - 1, p, f, p), square_and_multiply(p - 1, p >> 1, f, p)
                 assert padic._gf_powmod(p - 1, p, f, p) == want, (n, p)
+
+    @pytest.mark.parametrize("q", [
+        # prod (x - (k^2 - a)) for k = 1..6 and the first shift a: every r + a is a
+        # square, so the first split leaves the product whole
+        math.prod([IntPolynomial([padic._FIRST_SHIFT - k * k, 1]) for k in range(1, 7)]),
+        IntPolynomial([-1] + [0] * 11 + [1]),  # x^12 - 1
+    ], ids=["squares_minus_shift", "x12_minus_1"])
+    def test_roots_the_free_split_cannot_separate(self, q):
+        for p in primes_first(430):
+            if 67 <= p.value <= 3000:
+                assert roots_mod_p(q, p) == brute_roots(q, p.value), p
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7, 13, 10007, 2**61 - 1]), data=st.data())
+    def test_gcd_equals_euclid(self, p, data):
+        def poly(min_degree, max_degree):
+            lead = data.draw(st.integers(1, p - 1))
+            low = data.draw(st.lists(st.integers(0, p - 1), min_size=min_degree, max_size=max_degree))
+            return low + [lead]
+
+        planted = poly(0, 5)
+        a = gf_mul(planted, poly(0, 6), p)
+        b = gf_mul(planted, poly(0, 6), p) if data.draw(st.booleans()) else []
+        got = padic._gf_gcd(a, b, p)
+        assert got == euclid(a, b, p)
+        assert not padic._gf_divmod(got, planted, p)[1]  # the planted factor divides it
 
     @pytest.mark.parametrize("p, residue, modulus", [
         (43, 3, 4), (10007, 3, 4), (13, 5, 8), (1013, 5, 8), (17, 1, 16), (7681, 1, 16)])
