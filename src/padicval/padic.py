@@ -228,37 +228,34 @@ def _gf_monic(a: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+def _gf_divide(r: list[int], b: list[int], p: int) -> int:
+    """Divide r by b in place and return d = deg b.
+
+    Each top coefficient becomes a quotient coefficient c, and c times the
+    divisor below its lead is subtracted from the places under it, so the
+    quotient ends in r[d:] and the remainder in r[:d].
+    """
     inv = pow(b[-1], -1, p)
-    r = list(a)
-    db = len(b) - 1
-    q = [0] * max(len(r) - db, 0)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i] * inv % p
+    d = len(b) - 1
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i] = r[i] * inv % p
         if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
-    return _gf_trim(q), _gf_trim(r)
+            for j in range(d):
+                r[i - d + j] = (r[i - d + j] - c * b[j]) % p
+    return d
+
+
+def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    r = list(a)
+    d = _gf_divide(r, b, p)
+    return _gf_trim(r[d:]), _gf_trim(r[:d])
 
 
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of a and b, by one Euclid loop on copies of them.
-
-    Each remainder is computed in place in the dividend: its top
-    coefficient times -1/lc(divisor) cancels it, and the coefficients from
-    the divisor's degree up are then dropped.  No quotient is built.
-    """
+    """Monic gcd of a and b, by Euclid's algorithm on copies of them."""
     a, b = list(a), list(b)
     while b:
-        inv = -pow(b[-1], -1, p)
-        db = len(b) - 1
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i] * inv % p
-            if c:
-                for j in range(db):
-                    a[i - db + j] = (a[i - db + j] + c * b[j]) % p
-        del a[db:]
+        del a[_gf_divide(a, b, p) :]
         a, b = b, _gf_trim(a)
     return _gf_monic(a, p) if a else a
 
@@ -278,13 +275,14 @@ def _gf_powmod(a: int, e: int, f: list[int], p: int) -> tuple[list[int], list[in
     - the remainder is the low n slots plus q*g with g = x^n mod f, below
       n*p^3 + n^2*p^3.
     So a step is two passes of one % p per slot.  A struct of 64-bit limbs
-    converts a residue to and from slots of one or two limbs in one call.
+    converts a residue to and from one-limb slots in one call; wider slots
+    go through byte slices.
     """
     n = len(f) - 1
     k = -(-(2 * n * n * p**3).bit_length() // 64)  # limbs per slot
     w = 64 * k
-    limbs = struct.Struct(f"<{k * n}Q")
     if k == 1:
+        limbs = struct.Struct(f"<{n}Q")
 
         def unpack(x: int) -> list[int]:
             return list(limbs.unpack(x.to_bytes(8 * n, "little")))
@@ -296,22 +294,7 @@ def _gf_powmod(a: int, e: int, f: list[int], p: int) -> tuple[list[int], list[in
             c = limbs.unpack(x.to_bytes(8 * n, "little"))
             return int.from_bytes(limbs.pack(*[y % p for y in c]), "little")
 
-    elif k == 2:  # p < 2^43, so a coefficient below p fits the low limb
-
-        def unpack(x: int) -> list[int]:
-            c = limbs.unpack(x.to_bytes(16 * n, "little"))
-            return [s | t << 64 for s, t in zip(c[0::2], c[1::2])]
-
-        def pack(c: list[int]) -> int:
-            out = [0] * (2 * n)
-            out[0::2] = c
-            return int.from_bytes(limbs.pack(*out), "little")
-
-        def reduce(x: int) -> int:
-            c = limbs.unpack(x.to_bytes(16 * n, "little"))
-            return pack([(s | t << 64) % p for s, t in zip(c[0::2], c[1::2])])
-
-    else:  # byte slices: no slower than joining three or more limbs a slot
+    else:
 
         def unpack(x: int) -> list[int]:
             b = x.to_bytes(8 * k * n, "little")

@@ -249,7 +249,8 @@ class TestRootsModP:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        p=st.sampled_from([2, 3, 5, 7, 13, 10007, 2**61 - 1]),
+        # slots of one limb up to 10007, two at 2^31 - 1 and three at 2^61 - 1
+        p=st.sampled_from([2, 3, 5, 7, 13, 10007, 2**31 - 1, 2**61 - 1]),
         data=st.data(),
     )
     def test_powmod_equals_square_and_multiply(self, p, data):
