@@ -4,17 +4,9 @@ from .analysis import (
     ErrorSeries,
     SlopeReport,
     asymptotic_zero_number,
-    closed_form_slope_xp_pm1,
-    composite_slope,
     empirical_slope,
     error_series,
     exact_slope,
-    nu_Sp,
-    nu_Tp,
-    nu_xp_minus_1,
-    nu_xp_plus_1,
-    predicted_slope_hensel,
-    root_count_xp_plus_1,
     scan_primes,
     slope_report,
 )

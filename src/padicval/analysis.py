@@ -1,10 +1,11 @@
 """Asymptotics of the valuation sequence.
 
 Slopes and asymptotic zero numbers are exact rationals (stdlib Fraction),
-never floats.  Hensel primes get the closed form z_p/(p-1); non-Hensel
-primes are handled by the p-adic descent, which mechanizes the hand steps
-of the worked cases: substitute i = p*k + b at a non-simple root b, factor
-out the minimal coefficient power of p, and descend again.
+never floats.  One p-adic descent gives the slope of every Q at every
+prime.  At a Hensel prime it stops at once with z_p/(p-1); otherwise it
+mechanizes the hand steps of the worked cases: substitute i = p*k + b at
+a non-simple root b, factor out the minimal coefficient power of p, and
+descend again.
 """
 
 from __future__ import annotations
@@ -13,28 +14,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from math import gcd
 from typing import Iterator
 
-from .errors import NotHenselPrimeError, ValuationOfZeroError
-from .padic import (
-    Prime,
-    PrimeClassification,
-    classify_prime,
-    descent_step,
-    int_valuation,
-    primes_first,
-)
+from .padic import Prime, PrimeClassification, classify_prime, descent_step, primes_first
 from .poly import IntPolynomial, integer_poly_gcd, poly_divexact
 from .recurrence import RecurrenceSpec, valuation_blocks, valuation_tn, write_series
-
-
-def predicted_slope_hensel(q: IntPolynomial, p: Prime) -> Fraction:
-    """Per-n slope z_p/(p-1) at a Hensel (or rootless) prime."""
-    cls = classify_prime(q, p)
-    if not cls.all_roots_simple:
-        raise NotHenselPrimeError(f"{p} is not a Hensel prime for {q} ({cls.verdict.value})")
-    return Fraction(cls.z_p, p.value - 1)
 
 
 def exact_slope(q: IntPolynomial, p: Prime) -> Fraction:
@@ -166,74 +150,3 @@ def slope_report(spec: RecurrenceSpec, p: Prime, sample_points: tuple[int, ...] 
     slope = exact_slope(spec.poly, p)
     empirical = tuple((n, empirical_slope(spec, p, n)) for n in sample_points)
     return SlopeReport(p, classify_prime(spec.poly, p), slope, (p.value - 1) * slope, empirical)
-
-
-# -- closed forms for x^p +/- 1 and the cyclotomic-style sums -------------
-
-
-def nu_xp_minus_1(x: int, p: Prime) -> int:
-    """Valuation of x^p - 1 at odd p: 0 unless x = 1 mod p, else 1 + v(x-1)."""
-    if x == 1:
-        raise ValuationOfZeroError("x = 1 makes x^p - 1 zero")
-    if x % p.value != 1:
-        return 0
-    return 1 + int_valuation(x - 1, p)
-
-
-def nu_xp_plus_1(x: int, p: Prime) -> int:
-    """Valuation of x^p + 1: 0 unless x = -1 mod p, else 1 + v(x+1)."""
-    if x == -1:
-        raise ValuationOfZeroError("x = -1 makes x^p + 1 zero")
-    if x % p.value != p.value - 1:
-        return 0
-    return 1 + int_valuation(x + 1, p)
-
-
-def nu_Tp(x: int, p: Prime) -> int:
-    """Valuation of 1 + x + ... + x^(p-1) at odd p: 1 iff x = 1 mod p."""
-    if x == 1:
-        raise ValueError("x = 1 is excluded")
-    return 1 if x % p.value == 1 else 0
-
-
-def nu_Sp(x: int, p: Prime) -> int:
-    """Valuation of the alternating sum x^(p-1) - ... + 1 at odd p."""
-    if x == -1:
-        raise ValueError("x = -1 is excluded")
-    return 1 if x % p.value == p.value - 1 else 0
-
-
-def root_count_xp_plus_1(p: Prime, q: Prime) -> int:
-    """Number of roots of x^p + 1 mod q: gcd(p, q-1)."""
-    return gcd(p.value, q.value - 1)
-
-
-def closed_form_slope_xp_pm1(p: Prime, sign: int, q: Prime) -> Fraction:
-    """Per-n slope of the valuation of t_n(x^p + sign) at the prime q.
-
-    At q = p (p odd) the slope is (2p-1)/(p(p-1)); otherwise it is
-    gcd(p, q-1)/(q-1).
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    pv = p.value
-    if q.value == pv:
-        if pv == 2:
-            raise ValueError("the q = p closed form requires p odd")
-        return Fraction(2 * pv - 1, pv * (pv - 1))
-    return Fraction(gcd(pv, q.value - 1), q.value - 1)
-
-
-def composite_slope(factors: list[tuple[IntPolynomial, int]], p: Prime) -> Fraction:
-    """Slope of a product given its factorization: sum of per-factor slopes.
-
-    The valuation of a product of multipliers is the sum over factors, so
-    a repeated factor is handled by its multiplicity even though the
-    expanded product would stall the branch recursion.
-    """
-    if not factors:
-        raise ValueError("factor list must be nonempty")
-    total = Fraction(0)
-    for poly, mult in factors:
-        total += mult * exact_slope(poly, p)
-    return total

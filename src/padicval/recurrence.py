@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .errors import HasIntegerRootError, NotHenselPrimeError, ZeroPolynomialError
+from .errors import HasIntegerRootError, NotHenselPrimeError, ValuationOfZeroError, ZeroPolynomialError
 from .padic import Prime, classify_prime, descent_step, hensel_digit, int_valuation
 from .poly import IntPolynomial, format_poly, nonneg_integer_roots
 
@@ -63,6 +63,8 @@ def valuation_tn_direct(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     for i in range(lo + 1, lo + n + 1):
         v = q.evaluate(i)
         while v % pv == 0:
+            if not v:
+                raise ValuationOfZeroError(f"the multiplier Q({i}) is 0")
             total += 1
             v //= pv
     return total
@@ -89,6 +91,10 @@ def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[in
         for gamma, dinv in simple:
             ps = pv  # gamma is the root mod p^s
             while c := count_congruent(n, a * gamma + b, a * ps, lo):
+                if c == 1:  # its one index k = gamma mod p^s gains v_p(R(k)) - s + 1 more
+                    k = ((lo - a * gamma - b) // (a * ps) + 1) * ps + gamma
+                    yield a * ps, a * gamma + b, int_valuation(r.evaluate(k) // ps, p) + 1, 1
+                    break
                 yield a * ps, a * gamma + b, 1, c
                 gamma += hensel_digit(r, pv, gamma, ps, dinv) * ps
                 ps *= pv
@@ -101,8 +107,9 @@ def valuation_tn(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     (A = p^depth).  Its stripped power p^m counts once per index; a simple
     root of R mod p is lifted one Hensel digit at a time, each digit
     counting the indices of its class; a non-simple root b becomes the
-    child R(p*k + b).  A class of one index is evaluated directly, so the
-    depth stays within log_p(n0 + n) + 1 even for repeated factors.
+    child R(p*k + b).  A node or lifted class of one index is evaluated
+    directly, so the depth stays within log_p(n0 + n) + 1 even for repeated
+    factors, and a zero multiplier raises ValuationOfZeroError.
     """
     return sum(w * c for _, _, w, c in residue_classes(spec, p, n))
 

@@ -1,4 +1,5 @@
-"""Regeneration of every numeric claim in the worked examples.
+"""Regeneration of every numeric claim in the worked examples and the
+x^p +/- 1 formulas.
 
 Each function returns (claim, passed) pairs; the CLI prints one PASS/FAIL
 line per claim.  All comparisons are exact.
@@ -10,13 +11,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable
 
-from .analysis import (
-    asymptotic_zero_number,
-    composite_slope,
-    exact_slope,
-    predicted_slope_hensel,
-    scan_primes,
-)
+from .analysis import asymptotic_zero_number, exact_slope, scan_primes
 from .padic import Prime, Verdict, classify_prime, digit_sum, legendre_factorial_valuation, roots_mod_p
 from .parser import parse_poly
 from .poly import IntPolynomial, integer_poly_gcd
@@ -38,7 +33,7 @@ def example1() -> list[Claim]:
     return [
         ("roots of x^5+2x^3+3 mod 5 are [3, 4]", list(cls.roots) == [3, 4]),
         ("5 qualifies as a Hensel prime", cls.verdict is Verdict.HENSEL),
-        ("slope at 5 is 1/2", predicted_slope_hensel(Q1, p5) == Fraction(1, 2)),
+        ("slope at 5 is 1/2", exact_slope(Q1, p5) == Fraction(1, 2)),
         ("N_5 = 2", asymptotic_zero_number(Q1, p5) == 2),
     ]
 
@@ -88,28 +83,17 @@ def example3() -> list[Claim]:
     claims.append(
         ("gcd(Q, Q') = x+1", integer_poly_gcd(Q3, Q3.derivative()) == X_PLUS_1)
     )
-    factors = [(X3_PLUS_1, 1), (X5_PLUS_1, 1)]
-    claims.append(
-        (
-            "N_3 = 8/3",
-            2 * composite_slope(factors, Prime(3)) == Fraction(8, 3),
-        )
-    )
-    claims.append(
-        (
-            "N_5 = 14/5",
-            4 * composite_slope(factors, Prime(5)) == Fraction(14, 5),
-        )
-    )
+    claims.append(("N_3 = 8/3", 2 * exact_slope(Q3, Prime(3)) == Fraction(8, 3)))
+    claims.append(("N_5 = 14/5", 4 * exact_slope(Q3, Prime(5)) == Fraction(14, 5)))
     claims.append(
         ("slope of x^3+1 at 3 is 5/6", exact_slope(X3_PLUS_1, Prime(3)) == Fraction(5, 6))
     )
     claims.append(
-        ("slope of Q at 5 is 7/10", composite_slope(factors, Prime(5)) == Fraction(7, 10))
+        ("slope of Q at 5 is 7/10", exact_slope(Q3, Prime(5)) == Fraction(7, 10))
     )
     for pv in (7, 11, 13, 31):
         expected = gcd(3, pv - 1) + gcd(5, pv - 1)
-        got = (pv - 1) * composite_slope(factors, Prime(pv))
+        got = (pv - 1) * exact_slope(Q3, Prime(pv))
         claims.append((f"N_{pv} = gcd(3,{pv}-1) + gcd(5,{pv}-1) = {expected}", got == expected))
     return claims
 
@@ -119,9 +103,9 @@ def example4() -> list[Claim]:
     for pv in (2, 3, 5):
         q1 = IntPolynomial([1, pv])
         q2 = IntPolynomial([1, pv + 1])
-        factors = [(q1, 2), (q2, 1)]
+        q = q1 * q1 * q2
         for qv in (2, 3, 5, 7, 11, 13):
-            n_q = (qv - 1) * composite_slope(factors, Prime(qv))
+            n_q = (qv - 1) * exact_slope(q, Prime(qv))
             if qv == pv:
                 expected = Fraction(1)
             else:
@@ -156,12 +140,32 @@ def legendre() -> list[Claim]:
     return claims
 
 
+def xp_pm1() -> list[Claim]:
+    """x^p + sign at q = 2 .. 31: gcd(p, q-1) roots mod q, and the slope
+    gcd(p, q-1)/(q-1), or (2p-1)/(p(p-1)) at q = p."""
+    claims: list[Claim] = []
+    for pv in (3, 5, 7, 11, 13):
+        for sign in (1, -1):
+            poly = IntPolynomial([sign] + [0] * (pv - 1) + [1])
+            at_p = Fraction(2 * pv - 1, pv * (pv - 1))
+            ok = all(
+                exact_slope(poly, Prime(qv))
+                == (at_p if qv == pv else Fraction(gcd(pv, qv - 1), qv - 1))
+                and len(roots_mod_p(poly, Prime(qv))) == gcd(pv, qv - 1)
+                for qv in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+            )
+            claims.append((f"x^{pv}{sign:+d} at q = 2..31 has gcd({pv},q-1) roots and slope "
+                           f"gcd({pv},q-1)/(q-1), {at_p} at q = {pv}", ok))
+    return claims
+
+
 SELECTORS: dict[str, Callable[..., list[Claim]]] = {
     "example1": example1,
     "example2": example2,
     "example3": example3,
     "example4": example4,
     "legendre": legendre,
+    "xp_pm1": xp_pm1,
 }
 
 

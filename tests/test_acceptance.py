@@ -11,14 +11,9 @@ from math import gcd
 
 from padicval.analysis import (
     asymptotic_zero_number,
-    composite_slope,
     empirical_slope,
     error_series,
-    nu_Sp,
-    nu_Tp,
-    nu_xp_minus_1,
-    nu_xp_plus_1,
-    root_count_xp_plus_1,
+    exact_slope,
     scan_primes,
 )
 from padicval.padic import (
@@ -70,20 +65,18 @@ def test_criterion_3_exact_zero_numbers():
     assert asymptotic_zero_number(Q1, Prime(11)) == 3
     assert asymptotic_zero_number(Q1, Prime(29)) == Fraction(57, 29)
 
-    factors3 = [(parse_poly("x^3+1"), 1), (parse_poly("x^5+1"), 1)]
-    assert 2 * composite_slope(factors3, Prime(3)) == Fraction(8, 3)
-    assert 4 * composite_slope(factors3, Prime(5)) == Fraction(14, 5)
+    q3 = parse_poly("x^3+1") * parse_poly("x^5+1")
+    assert 2 * exact_slope(q3, Prime(3)) == Fraction(8, 3)
+    assert 4 * exact_slope(q3, Prime(5)) == Fraction(14, 5)
     for pv in (7, 11, 13, 31):
-        assert (pv - 1) * composite_slope(factors3, Prime(pv)) == gcd(3, pv - 1) + gcd(
-            5, pv - 1
-        )
+        assert (pv - 1) * exact_slope(q3, Prime(pv)) == gcd(3, pv - 1) + gcd(5, pv - 1)
 
     # product family (px+1)^2 ((p+1)x+1): N is 1 at q = p, else 2 plus one
     # more when the second factor keeps a root mod q (q not dividing p+1)
     for pv in (2, 3, 5):
-        factors = [(IntPolynomial([1, pv]), 2), (IntPolynomial([1, pv + 1]), 1)]
+        q = IntPolynomial([1, pv]) * IntPolynomial([1, pv]) * IntPolynomial([1, pv + 1])
         for qv in (2, 3, 5, 7, 11, 13):
-            n_q = (qv - 1) * composite_slope(factors, Prime(qv))
+            n_q = (qv - 1) * exact_slope(q, Prime(qv))
             if qv == pv:
                 assert n_q == 1, (pv, qv)
             else:
@@ -153,20 +146,23 @@ def test_criterion_7_closed_forms():
     for pv in (3, 5, 7, 11, 13):
         p = Prime(pv)
         for x in range(-1000, 1001):
+            # v_p(x^p - 1) = 1 + v_p(x - 1) and v_p(T_p(x)) = 1 when x = 1 mod p, else both 0
             if x != 1:
-                assert nu_xp_minus_1(x, p) == int_valuation(x**pv - 1, p)
-                assert nu_Tp(x, p) == int_valuation(sum(x**k for k in range(pv)), p)
+                minus = 1 + int_valuation(x - 1, p) if x % pv == 1 else 0
+                assert int_valuation(x**pv - 1, p) == minus
+                assert int_valuation(sum(x**k for k in range(pv)), p) == (x % pv == 1)
+            # v_p(x^p + 1) = 1 + v_p(x + 1) and v_p(S_p(x)) = 1 when x = -1 mod p, else both 0
             if x != -1:
-                assert nu_xp_plus_1(x, p) == int_valuation(x**pv + 1, p)
+                plus = 1 + int_valuation(x + 1, p) if x % pv == pv - 1 else 0
+                assert int_valuation(x**pv + 1, p) == plus
                 s = sum((-1) ** k * x ** (pv - 1 - k) for k in range(pv))
-                assert nu_Sp(x, p) == int_valuation(s, p)
+                assert int_valuation(s, p) == (x % pv == pv - 1)
     odd_primes = [p for p in primes_first(25) if 2 < p.value <= 100]
     all_primes = [p for p in primes_first(25) if p.value <= 100]
     for p in odd_primes:
         poly = IntPolynomial([1] + [0] * (p.value - 1) + [1])
         for q in all_primes:
-            assert root_count_xp_plus_1(p, q) == gcd(p.value, q.value - 1)
-            assert root_count_xp_plus_1(p, q) == len(roots_mod_p(poly, q)), (p, q)
+            assert len(roots_mod_p(poly, q)) == gcd(p.value, q.value - 1), (p, q)
     _report("7 closed-form valuations and root counts", time.perf_counter() - t0)
 
 

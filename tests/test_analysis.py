@@ -5,27 +5,21 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padicval.analysis import (
     asymptotic_zero_number,
-    closed_form_slope_xp_pm1,
-    composite_slope,
     empirical_slope,
     error_series,
     exact_slope,
-    nu_Sp,
-    nu_Tp,
-    nu_xp_minus_1,
-    nu_xp_plus_1,
-    predicted_slope_hensel,
-    root_count_xp_plus_1,
     scan_primes,
     slope_report,
 )
-from padicval.errors import NotHenselPrimeError, ValuationOfZeroError
+from padicval.errors import NotHenselPrimeError
 from padicval.padic import Prime, Verdict, classify_prime, digit_sum, int_valuation, roots_mod_p
 from padicval.poly import IntPolynomial
-from padicval.recurrence import make_spec
+from padicval.recurrence import make_spec, valuation_tn_fast
 
 X = IntPolynomial([0, 1])
 Q1 = IntPolynomial([3, 0, 0, 2, 0, 1])          # x^5+2x^3+3
@@ -36,24 +30,24 @@ P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
 
 class TestPredictedSlope:
+    """At a Hensel (or rootless) prime the slope is z_p/(p-1)."""
+
     def test_example1(self):
-        assert predicted_slope_hensel(Q1, P5) == Fraction(1, 2)
+        assert exact_slope(Q1, P5) == Fraction(1, 2)
 
     def test_factorial(self):
-        assert predicted_slope_hensel(X, P2) == 1
+        assert exact_slope(X, P2) == 1
 
     def test_rootless(self):
-        assert predicted_slope_hensel(IntPolynomial([1, 0, 1]), P3) == 0
-
-    def test_non_hensel_raises(self):
-        with pytest.raises(NotHenselPrimeError):
-            predicted_slope_hensel(Q1, P3)
+        assert exact_slope(IntPolynomial([1, 0, 1]), P3) == 0
 
     def test_p_divides_content_raises(self):
         # 3(x^2+1): Q' = 6x vanishes mod 3 too, so no root is simple (the slope is 1, not 3/2)
+        q = IntPolynomial([3, 0, 3])
         with pytest.raises(NotHenselPrimeError):
-            predicted_slope_hensel(IntPolynomial([3, 0, 3]), P3)
-        assert exact_slope(IntPolynomial([3, 0, 3]), P3) == 1
+            valuation_tn_fast(make_spec(q), P3, 100)
+        assert Fraction(classify_prime(q, P3).z_p, 2) == Fraction(3, 2)
+        assert exact_slope(q, P3) == 1
 
 
 class TestExactSlope:
@@ -91,8 +85,8 @@ class TestExactSlope:
     def test_squarefree_deep_descent_needs_no_cap(self):
         # x^2 - 3^200 descends about 100 levels; its factors x -+ 3^100 each give 1/2
         q = IntPolynomial([-(3**200), 0, 1])
-        factors = [(IntPolynomial([-(3**100), 1]), 1), (IntPolynomial([3**100, 1]), 1)]
-        assert exact_slope(q, P3) == composite_slope(factors, P3) == 1
+        a, b = IntPolynomial([-(3**100), 1]), IntPolynomial([3**100, 1])
+        assert exact_slope(q, P3) == exact_slope(a, P3) + exact_slope(b, P3) == 1
 
 
 class TestEmpiricalSlope:
@@ -204,89 +198,103 @@ class TestScanPrimes:
 
 
 class TestClosedForms:
+    """The paper's x^p +/- 1 lemmas at odd p, written inline."""
+
     def test_nu_xp_minus_1_examples(self):
-        assert nu_xp_minus_1(4, P3) == 2
-        assert nu_xp_minus_1(2, P3) == 0
+        # v_p(x^p - 1) is 1 + v_p(x - 1) when x = 1 mod p, else 0
+        assert int_valuation(4**3 - 1, P3) == 1 + int_valuation(4 - 1, P3) == 2
+        assert int_valuation(2**3 - 1, P3) == 0
         # 26^5 - 1 = 11881375 = 5^3 * 95051, and 1 + v_5(25) = 3
-        assert nu_xp_minus_1(26, P5) == 3
+        assert int_valuation(26**5 - 1, P5) == 1 + int_valuation(26 - 1, P5) == 3
 
     def test_nu_xp_plus_1_examples(self):
-        assert nu_xp_plus_1(2, P3) == 2
-        assert nu_xp_plus_1(3, P5) == 0
-        assert nu_xp_plus_1(9, P5) == 2
-
-    def test_excluded_points(self):
-        with pytest.raises(ValuationOfZeroError):
-            nu_xp_minus_1(1, P3)
-        with pytest.raises(ValuationOfZeroError):
-            nu_xp_plus_1(-1, P3)
+        # v_p(x^p + 1) is 1 + v_p(x + 1) when x = -1 mod p, else 0
+        assert int_valuation(2**3 + 1, P3) == 1 + int_valuation(2 + 1, P3) == 2
+        assert int_valuation(3**5 + 1, P5) == 0
+        assert int_valuation(9**5 + 1, P5) == 1 + int_valuation(9 + 1, P5) == 2
 
     def test_T_and_S_examples(self):
-        assert nu_Tp(4, P3) == 1  # T_3(4) = 21
-        assert nu_Tp(2, P3) == 0  # T_3(2) = 7
-        assert nu_Sp(2, P3) == 1  # S_3(2) = 3
+        # T_p(x) = 1 + x + ... + x^(p-1) and S_p(x) = x^(p-1) - ... + 1 have valuation
+        # 1 when x = 1 (for T) or x = -1 (for S) mod p, else 0
+        assert int_valuation(1 + 4 + 4**2, P3) == 1  # T_3(4) = 21
+        assert int_valuation(1 + 2 + 2**2, P3) == 0  # T_3(2) = 7
+        assert int_valuation(2**2 - 2 + 1, P3) == 1  # S_3(2) = 3
 
     def test_against_direct_valuation(self):
         for pv in (3, 5, 7, 11, 13):
             p = Prime(pv)
             for x in range(-200, 201):
                 if x != 1:
-                    assert nu_xp_minus_1(x, p) == int_valuation(x**pv - 1, p)
+                    minus = 1 + int_valuation(x - 1, p) if x % pv == 1 else 0
+                    assert int_valuation(x**pv - 1, p) == minus
                     t = sum(x**k for k in range(pv))
-                    assert nu_Tp(x, p) == int_valuation(t, p)
+                    assert int_valuation(t, p) == (x % pv == 1)
                 if x != -1:
-                    assert nu_xp_plus_1(x, p) == int_valuation(x**pv + 1, p)
+                    plus = 1 + int_valuation(x + 1, p) if x % pv == pv - 1 else 0
+                    assert int_valuation(x**pv + 1, p) == plus
                     s = sum((-1) ** k * x ** (pv - 1 - k) for k in range(pv))
-                    assert nu_Sp(x, p) == int_valuation(s, p)
+                    assert int_valuation(s, p) == (x % pv == pv - 1)
 
     def test_root_counts(self):
-        assert root_count_xp_plus_1(P3, Prime(7)) == 3
-        assert root_count_xp_plus_1(P5, Prime(7)) == 1
-        assert root_count_xp_plus_1(P3, P3) == 1
+        # x^p + 1 has gcd(p, q-1) roots mod q
+        assert len(roots_mod_p(X3P1, Prime(7))) == gcd(3, 6) == 3
+        assert len(roots_mod_p(X5P1, Prime(7))) == gcd(5, 6) == 1
+        assert len(roots_mod_p(X3P1, P3)) == gcd(3, 2) == 1
         # the gcd count needs the exponent odd (x^2+1 has no roots mod q = 3 mod 4)
         for pv in (3, 5, 7, 11, 13):
             for qv in (2, 3, 5, 7, 11, 13, 17, 19):
                 q = IntPolynomial([1] + [0] * (pv - 1) + [1])
-                assert root_count_xp_plus_1(Prime(pv), Prime(qv)) == len(
-                    roots_mod_p(q, Prime(qv))
-                ), (pv, qv)
+                assert len(roots_mod_p(q, Prime(qv))) == gcd(pv, qv - 1), (pv, qv)
 
     def test_slope_closed_form(self):
-        assert closed_form_slope_xp_pm1(P3, 1, P3) == Fraction(5, 6)
-        assert closed_form_slope_xp_pm1(P5, 1, P5) == Fraction(9, 20)
-        assert closed_form_slope_xp_pm1(P5, 1, P5) == exact_slope(X5P1, P5)
-        assert closed_form_slope_xp_pm1(P3, 1, Prime(7)) == Fraction(1, 2)
-        assert closed_form_slope_xp_pm1(P3, -1, P3) == exact_slope(
-            IntPolynomial([-1, 0, 0, 1]), P3
-        )
+        # the slope of x^p +/- 1 is (2p-1)/(p(p-1)) at q = p, else gcd(p, q-1)/(q-1)
+        assert exact_slope(X3P1, P3) == Fraction(2 * 3 - 1, 3 * 2) == Fraction(5, 6)
+        assert exact_slope(X5P1, P5) == Fraction(2 * 5 - 1, 5 * 4) == Fraction(9, 20)
+        assert exact_slope(X3P1, Prime(7)) == Fraction(gcd(3, 6), 6) == Fraction(1, 2)
+        assert exact_slope(IntPolynomial([-1, 0, 0, 1]), P3) == Fraction(5, 6)
+
+
+_FACTORS = st.lists(st.integers(-12, 12), min_size=1, max_size=4).map(IntPolynomial).filter(
+    lambda q: not q.is_zero)
+
+
+@st.composite
+def factor_pairs(draw):
+    """(A, B, p): B is A in about one draw in three, and p may divide content(A)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    a = draw(_FACTORS) * IntPolynomial([draw(st.sampled_from([1, 1, p, p * p]))])
+    b = draw(st.one_of(st.just(a), _FACTORS, _FACTORS))
+    return a, b, Prime(p)
 
 
 class TestCompositeSlope:
+    """Slopes add over pointwise factors, repeated ones included."""
+
     def test_example4_p3_q2(self):
-        factors = [(IntPolynomial([1, 3]), 2), (IntPolynomial([1, 4]), 1)]
+        q = IntPolynomial([1, 3]) * IntPolynomial([1, 3]) * IntPolynomial([1, 4])
         # 2 divides 3+1, so the second factor is rootless mod 2
-        assert composite_slope(factors, P2) == 2
-        assert (2 - 1) * composite_slope(factors, P2) == 2
+        assert exact_slope(q, P2) == 2
+        assert (2 - 1) * exact_slope(q, P2) == 2
 
     def test_example3_sum(self):
-        factors = [(X3P1, 1), (X5P1, 1)]
-        assert (7 - 1) * composite_slope(factors, Prime(7)) == gcd(3, 6) + gcd(5, 6) == 4
+        assert (7 - 1) * exact_slope(Q3, Prime(7)) == gcd(3, 6) + gcd(5, 6) == 4
 
     def test_single_simple_factor(self):
         for p in (P2, P3, Prime(13)):
-            assert (p.value - 1) * composite_slope([(IntPolynomial([1, 1]), 1)], p) == 1
+            assert (p.value - 1) * exact_slope(IntPolynomial([1, 1]), p) == 1
 
-    def test_matches_expanded_product(self):
-        factors = [(IntPolynomial([1, 1]), 1), (IntPolynomial([3, -3, 3, -1, 1]), 1)]
-        for p in (P3, Prime(11), Prime(29), Prime(31)):
-            assert composite_slope(factors, p) == exact_slope(Q1, p)
-        factors3 = [(X3P1, 1), (X5P1, 1)]
-        for p in (P3, P5, Prime(7)):
-            assert composite_slope(factors3, p) == exact_slope(Q3, p)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            composite_slope([], P3)
+    @settings(max_examples=300, deadline=None)
+    @given(factor_pairs())
+    @example((IntPolynomial([1, 1]), IntPolynomial([3, -3, 3, -1, 1]), P3))
+    @example((IntPolynomial([1, 1]), IntPolynomial([3, -3, 3, -1, 1]), Prime(11)))
+    @example((IntPolynomial([1, 1]), IntPolynomial([3, -3, 3, -1, 1]), Prime(29)))
+    @example((IntPolynomial([1, 1]), IntPolynomial([3, -3, 3, -1, 1]), Prime(31)))
+    @example((X3P1, X5P1, P3))
+    @example((X3P1, X5P1, P5))
+    @example((X3P1, X5P1, Prime(7)))
+    def test_matches_expanded_product(self, case):
+        a, b, p = case
+        assert exact_slope(a * b, p) == exact_slope(a, p) + exact_slope(b, p)
 
 
 class TestSlopeReport:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicval import analysis, cli, recurrence
+from padicval import analysis, cli, recurrence, reproduce
 from padicval.cli import main
 from padicval.padic import Prime
 from padicval.parser import parse_poly
@@ -338,6 +338,17 @@ class TestReproduce:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_every_selector_passes_and_the_claim_count_is_pinned(self, capsys):
+        # a claim lost in a rewrite of reproduce changes the count
+        counts = {}
+        for selector in sorted(reproduce.SELECTORS) + ["all"]:
+            code, out, _ = run(capsys, "reproduce", selector, "--scan-count", "50",
+                               "--workers", "1")
+            assert code == 0 and "FAIL" not in out, selector
+            counts[selector] = len(out.splitlines()) - 1
+        assert counts == {"example1": 4, "example2": 9, "example3": 10, "example4": 18,
+                          "legendre": 10, "xp_pm1": 10, "all": 61}
+
 
 class TestUsageErrors:
     def test_bad_poly_exits_2(self, capsys):
@@ -408,7 +419,7 @@ def cli_draws(draw):
     argv = [command]
     if command == "reproduce":
         argv.append(draw(st.sampled_from(["all", "example1", "example2", "example3", "example4",
-                                          "legendre"])))
+                                          "legendre", "xp_pm1"])))
     for flag, values, required in _GRAMMAR[command]:
         if required or draw(st.booleans()):  # "--poly=-x", as "--poly -x" reads as a flag
             argv.append(flag if values is None else f"{flag}={draw(values)}")

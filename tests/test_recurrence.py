@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import accumulate
 from unittest import mock
 
@@ -183,6 +186,22 @@ class TestTree:
         assert term_valuations(spec, p, n) == [int_valuation(spec.poly.evaluate(i), p)
                                                for i in range(lo + 1, lo + n + 1)]
         assert valuation_series(spec, p, n).values[-1] == v
+
+    @pytest.mark.parametrize("call", [
+        "valuation_tn(RecurrenceSpec(IntPolynomial([-3, 1]), 0), Prime(2), 100)",
+        "valuation_tn_direct(RecurrenceSpec(IntPolynomial([-1, 1]), 0), Prime(2), 1)",
+    ])
+    def test_zero_multiplier_raises(self, call):
+        # in a child process, so that an endless loop fails the test instead of stalling the run
+        code = ("from padicval.errors import ValuationOfZeroError\n"
+                "from padicval.padic import Prime\n"
+                "from padicval.poly import IntPolynomial\n"
+                "from padicval.recurrence import RecurrenceSpec, valuation_tn, valuation_tn_direct\n"
+                f"try:\n    {call}\nexcept ValuationOfZeroError:\n    print('raised')\n")
+        src = os.path.dirname(os.path.dirname(recurrence.__file__))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=30, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout == "raised\n", done.stderr
 
     def test_p_divides_content(self):
         spec = make_spec(IntPolynomial([3, 0, 3]))  # 3(x^2+1); x^2+1 has no root mod 3
