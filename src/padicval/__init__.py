@@ -1,7 +1,6 @@
 """Prime valuations of product sequences t_n = Q(n) * t_{n-1}."""
 
 from .analysis import (
-    ErrorSeries,
     SlopeReport,
     asymptotic_zero_number,
     empirical_slope,
@@ -39,7 +38,6 @@ from .parser import parse_poly
 from .poly import IntPolynomial, format_poly, integer_poly_gcd, nonneg_integer_roots
 from .recurrence import (
     RecurrenceSpec,
-    ValuationSeries,
     count_congruent,
     make_spec,
     max_power_index,

@@ -13,12 +13,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from typing import Iterator
 
 from .padic import Prime, PrimeClassification, classify_prime, descent_step, primes_first
 from .poly import IntPolynomial, integer_poly_gcd, poly_divexact
-from .recurrence import RecurrenceSpec, valuation_blocks, valuation_tn, write_series
+from .recurrence import RecurrenceSpec, valuation_blocks, valuation_tn
 
 
 def exact_slope(q: IntPolynomial, p: Prime) -> Fraction:
@@ -59,33 +59,11 @@ def empirical_slope(spec: RecurrenceSpec, p: Prime, n: int) -> Fraction:
     return Fraction((p.value - 1) * valuation_tn(spec, p, n), n)
 
 
-@dataclass(frozen=True)
-class ErrorSeries:
-    p: Prime
-    z_p: int
-    err: tuple[int, ...]     # err[k] for n = k+1: z_p*n - (p-1)*valuation
-    relerr: tuple[int, ...]  # first differences, with err[0] relative to 0
-
-    CSV_HEADER = ("n", "err", "relerr")
-
-    def to_csv(self) -> str:
-        return write_series(None, "csv", self.CSV_HEADER, lambda: [(self.err, self.relerr)])
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p.value,
-            "z_p": self.z_p,
-            "err": list(self.err),
-            "relerr": list(self.relerr),
-        }
-
-
-def error_blocks(spec: RecurrenceSpec, p: Prime, n_max: int, z_p: int
+def error_series(spec: RecurrenceSpec, p: Prime, n_max: int, z_p: int
                  ) -> Iterator[tuple[list[int], list[int]]]:
-    """(err, relerr) for n = 1 .. n_max, block by block.
-
-    relerr at n is z_p - (p-1)*v_p(Q(n0+n)), and err its running sum.
-    """
+    """The normalized error z_p*n - (p-1)*valuation(t_n) for n = 1 .. n_max,
+    as (err, relerr) blocks: relerr at n is z_p - (p-1)*v_p(Q(n0+n)), and
+    err its running sum."""
     pm1, err = p.value - 1, 0
     for block in valuation_blocks(spec, p, n_max):
         relerr = [z_p - pm1 * v for v in block]
@@ -94,17 +72,9 @@ def error_blocks(spec: RecurrenceSpec, p: Prime, n_max: int, z_p: int
         yield errs, relerr
 
 
-def error_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> ErrorSeries:
-    """Normalized error z_p*n - (p-1)*valuation and its first difference."""
-    zp = classify_prime(spec.poly, p).z_p
-    err, relerr = zip(*error_blocks(spec, p, n_max, zp))
-    return ErrorSeries(p, zp, tuple(chain.from_iterable(err)), tuple(chain.from_iterable(relerr)))
-
-
-def scan_primes(
-    q: IntPolynomial, count: int, workers: int = 1
-) -> list[tuple[Prime, PrimeClassification]]:
-    """Classify q at each of the first `count` primes, in prime order.
+def scan_primes(q: IntPolynomial, count: int, workers: int = 1
+                ) -> Iterator[tuple[Prime, PrimeClassification]]:
+    """Classify q at each of the first `count` primes, yielding each in prime order.
 
     With workers > 1 the classifications run in a process pool of at most
     one process per CPU and per prime; output is identical to the
@@ -116,10 +86,10 @@ def scan_primes(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(classify_prime, repeat(q), primes, chunksize=64))
+            yield from zip(primes, pool.map(classify_prime, repeat(q), primes, chunksize=64))
     else:
-        results = [classify_prime(q, p) for p in primes]
-    return list(zip(primes, results))
+        for p in primes:
+            yield p, classify_prime(q, p)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -63,13 +62,13 @@ def _emit(output: Output, out_path: str | None) -> None:
         write(sys.stdout)
 
 
-def _csv(header: Iterable, rows: Iterable[Iterable]) -> str:
-    """Header and rows as comma-separated lines."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+def _csv(header: Iterable, rows: Iterable[Iterable]) -> Output:
+    """A writer of the header and rows as comma-separated lines, one row at a time."""
+    def write(out: TextIO) -> None:
+        w = csv.writer(out, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    return write
 
 
 def _add_common(sub, poly=True, prime=True):
@@ -137,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _cmd_roots(args) -> str:
+def _cmd_roots(args) -> Output:
     roots = padic.roots_mod_p(args.poly, args.prime)
     if args.format == "json":
         payload = {"p": args.prime.value, "poly": format_poly(args.poly), "roots": roots}
@@ -155,7 +154,7 @@ def _classification_row(cls: padic.PrimeClassification) -> list:
             ";".join(map(str, cls.roots)), ";".join(map(str, cls.non_hensel_roots))]
 
 
-def _cmd_classify(args) -> str:
+def _cmd_classify(args) -> Output:
     cls = padic.classify_prime(args.poly, args.prime)
     if args.format == "json":
         return json.dumps(cls.to_json(), sort_keys=True) + "\n"
@@ -178,7 +177,7 @@ def max_lift_precision(pv: int, digits: int) -> int:
     return k
 
 
-def _cmd_lift(args) -> str:
+def _cmd_lift(args) -> Output:
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if digits and args.precision > (limit := max_lift_precision(args.prime.value, digits)):
         _parser().error(f"argument --precision: must be <= {limit} at p = {args.prime}, "
@@ -199,15 +198,12 @@ def _make_spec(args) -> recurrence.RecurrenceSpec:
     return recurrence.make_spec(args.poly, auto_shift=not getattr(args, "no_auto_shift", False))
 
 
-_ENGINES = {
-    "auto": recurrence.valuation_tn,
-    "fast": recurrence.valuation_tn_fast,
-    "direct": recurrence.valuation_tn_direct,
-}
+# Engine names in recurrence, looked up per call so that a patched engine is the one that runs.
+_ENGINES = {"auto": "valuation_tn", "fast": "valuation_tn_fast", "direct": "valuation_tn_direct"}
 
 
-def _cmd_valuation(args) -> str:
-    v = _ENGINES[args.engine](_make_spec(args), args.prime, args.n)
+def _cmd_valuation(args) -> Output:
+    v = getattr(recurrence, _ENGINES[args.engine])(_make_spec(args), args.prime, args.n)
     if args.format == "json":
         payload = {"p": args.prime.value, "poly": format_poly(args.poly),
                    "n": args.n, "valuation": v}
@@ -221,12 +217,12 @@ def _cmd_series(args) -> Output:
     spec, p = _make_spec(args), args.prime
     fields = {"p": p.value, "poly": format_poly(spec.poly), "n0": spec.start_index, "values": None}
     return functools.partial(recurrence.write_series, fmt=args.format,
-                             header=recurrence.ValuationSeries.CSV_HEADER,
-                             blocks=lambda: recurrence.series_blocks(spec, p, args.n_max),
+                             header=("n", "valuation"),
+                             blocks=lambda: recurrence.valuation_series(spec, p, args.n_max),
                              json_fields=fields)
 
 
-def _cmd_slope(args) -> str:
+def _cmd_slope(args) -> Output:
     report = analysis.slope_report(_make_spec(args), args.prime, (args.n,) if args.n else ())
     if args.format == "json":
         return json.dumps(report.to_json(), sort_keys=True) + "\n"
@@ -244,19 +240,24 @@ def _cmd_errors(args) -> Output:
     zp = padic.classify_prime(spec.poly, p).z_p
     fields = {"p": p.value, "z_p": zp, "err": None, "relerr": None}
     return functools.partial(recurrence.write_series, fmt=args.format,
-                             header=analysis.ErrorSeries.CSV_HEADER,
-                             blocks=lambda: analysis.error_blocks(spec, p, args.n_max, zp),
+                             header=("n", "err", "relerr"),
+                             blocks=lambda: analysis.error_series(spec, p, args.n_max, zp),
                              json_fields=fields)
 
 
-def _cmd_scan(args) -> str:
+def _cmd_scan(args) -> Output:
     results = analysis.scan_primes(args.poly, args.count, workers=args.workers)
-    if args.format == "json":
-        return json.dumps([c.to_json() for _, c in results], sort_keys=True) + "\n"
-    rows = [_classification_row(c) for _, c in results]
+    if args.format == "json":  # what json.dumps of the whole list gives, one item at a time
+        def write(out: TextIO) -> None:
+            out.write("[")
+            out.writelines((", " if i else "") + json.dumps(c.to_json(), sort_keys=True)
+                           for i, (_, c) in enumerate(results))
+            out.write("]\n")
+        return write
+    rows = (_classification_row(c) for _, c in results)
     if args.format == "csv":
         return _csv(_CLASSIFICATION_HEADER, rows)
-    return "".join(f"{r[0]} {r[1]} roots={r[2]} non_hensel={r[3]}\n" for r in rows)
+    return lambda out: out.writelines(f"{r[0]} {r[1]} roots={r[2]} non_hensel={r[3]}\n" for r in rows)
 
 
 def _cmd_reproduce(args) -> tuple[str, int]:

@@ -9,15 +9,14 @@ which evaluates at most one term per class.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, TextIO
 
 from .errors import HasIntegerRootError, NotHenselPrimeError, ValuationOfZeroError, ZeroPolynomialError
 from .padic import Prime, classify_prime, descent_step, hensel_digit, int_valuation
-from .poly import IntPolynomial, format_poly, nonneg_integer_roots
+from .poly import IntPolynomial, nonneg_integer_roots
 
 
 @dataclass(frozen=True)
@@ -141,51 +140,44 @@ def valuation_blocks(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[list[in
         yield values
 
 
-def term_valuations(spec: RecurrenceSpec, p: Prime, n: int) -> list[int]:
-    """v_p(Q(i)) for i = n0+1 .. n0+n, in order."""
-    return list(chain.from_iterable(valuation_blocks(spec, p, n)))
-
-
-def series_blocks(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[list[int]]]:
-    """The valuations of t_1 .. t_n as one-column blocks: running sums of valuation_blocks."""
+def valuation_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> Iterator[tuple[list[int]]]:
+    """The valuations of t_1 .. t_n_max as one-column blocks: running sums of valuation_blocks."""
     total = 0
-    for block in valuation_blocks(spec, p, n):
+    for block in valuation_blocks(spec, p, n_max):
         sums = list(accumulate(block, initial=total))[1:]
         total = sums[-1]
         yield (sums,)
 
 
-def write_series(out: TextIO | None, fmt: str, header: tuple[str, ...],
-                 blocks: Callable[[], Iterable[tuple[Iterable[int], ...]]],
-                 json_fields: dict | None = None) -> str | None:
+def write_series(out: TextIO, fmt: str, header: tuple[str, ...],
+                 blocks: Callable[[], Iterable[tuple[Iterable[int], ...]]], json_fields: dict) -> None:
     """An integer series as csv, table or json, written block by block.
 
     Each call of blocks() walks the series afresh and yields, per block,
     its columns after n, which counts from 1.  json is what
     json.dumps(json_fields, sort_keys=True) gives once each key whose value
     is None holds its column's list (columns in key order); it walks the
-    series once per such key.  Without out the text is returned instead.
+    series once per such key.
     """
-    buf = io.StringIO() if out is None else out
     if fmt == "json":
         streamed = [key for key, value in json_fields.items() if value is None]
-        buf.write("{")
+        out.write("{")
         for i, key in enumerate(sorted(json_fields)):
-            buf.write((", " if i else "") + json.dumps(key) + ": ")
+            out.write((", " if i else "") + json.dumps(key) + ": ")
             if key in streamed:
                 j = streamed.index(key)
-                buf.write("[")
-                buf.writelines((", " if b else "") + ", ".join(map(str, cols[j]))
+                out.write("[")
+                out.writelines((", " if b else "") + ", ".join(map(str, cols[j]))
                                for b, cols in enumerate(blocks()))
-                buf.write("]")
+                out.write("]")
             else:
-                buf.write(json.dumps(json_fields[key]))
-        buf.write("}\n")
+                out.write(json.dumps(json_fields[key]))
+        out.write("}\n")
     else:
         width = len(header)
         row = ("," if fmt == "csv" else " ").join(["%d"] * width) + "\n"
         if fmt == "csv":
-            buf.write(",".join(header) + "\n")
+            out.write(",".join(header) + "\n")
         n = 1
         for cols in blocks():
             k = len(cols[0])
@@ -193,38 +185,8 @@ def write_series(out: TextIO | None, fmt: str, header: tuple[str, ...],
             flat[::width] = range(n, n + k)
             for j, col in enumerate(cols, 1):
                 flat[j::width] = col
-            buf.write((row * k) % tuple(flat))
+            out.write((row * k) % tuple(flat))
             n += k
-    return buf.getvalue() if out is None else None
-
-
-@dataclass(frozen=True)
-class ValuationSeries:
-    p: Prime
-    spec: RecurrenceSpec
-    values: tuple[int, ...]  # values[k] is the valuation of t_{k+1}
-
-    CSV_HEADER = ("n", "valuation")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def to_csv(self) -> str:
-        return write_series(None, "csv", self.CSV_HEADER, lambda: [(self.values,)])
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p.value,
-            "poly": format_poly(self.spec.poly),
-            "n0": self.spec.start_index,
-            "values": list(self.values),
-        }
-
-
-def valuation_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> ValuationSeries:
-    """Prefix sums of the per-term valuations, one multiplier per step."""
-    values = chain.from_iterable(col for col, in series_blocks(spec, p, n_max))
-    return ValuationSeries(p, spec, tuple(values))
 
 
 def max_power_index(spec: RecurrenceSpec, p: Prime, n: int) -> int:

@@ -122,10 +122,10 @@ def legendre() -> list[Claim]:
     n_max = 2000
     for pv in (2, 3, 5, 7, 11):
         p = Prime(pv)
-        series = valuation_series(spec, p, n_max)
+        values = [v for col, in valuation_series(spec, p, n_max) for v in col]
         formula_ok = all(
-            series.values[n - 1] == (n - digit_sum(n, p)) // (pv - 1)
-            and series.values[n - 1] == legendre_factorial_valuation(n, p)
+            values[n - 1] == (n - digit_sum(n, p)) // (pv - 1)
+            and values[n - 1] == legendre_factorial_valuation(n, p)
             for n in range(1, n_max + 1)
         )
         floor_ok = True
@@ -134,7 +134,7 @@ def legendre() -> list[Claim]:
             while power <= n:
                 total += n // power
                 power *= pv
-            floor_ok = floor_ok and total == series.values[n - 1]
+            floor_ok = floor_ok and total == values[n - 1]
         claims.append((f"factorial valuations at p={pv} match the digit-sum formula", formula_ok))
         claims.append((f"factorial valuations at p={pv} match the floor sums", floor_ok))
     return claims

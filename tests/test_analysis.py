@@ -2,6 +2,7 @@ import concurrent.futures
 import os
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -16,6 +17,7 @@ from padicval.analysis import (
     scan_primes,
     slope_report,
 )
+from padicval.cli import main
 from padicval.errors import NotHenselPrimeError
 from padicval.padic import Prime, Verdict, classify_prime, digit_sum, int_valuation, roots_mod_p
 from padicval.poly import IntPolynomial
@@ -105,42 +107,43 @@ class TestEmpiricalSlope:
         assert abs(approx - 2) <= Fraction(1, 100)
 
 
+def errors_read_whole(q, p, n):
+    """error_series of make_spec(q) at p read whole, with the z_p the CLI passes: (err, relerr)."""
+    zp = classify_prime(q, p).z_p
+    return tuple(list(chain.from_iterable(col)) for col in zip(*error_series(make_spec(q), p, n, zp)))
+
+
 class TestErrorSeries:
     def test_factorial_err_is_digit_sum(self):
-        spec = make_spec(X)
-        es = error_series(spec, P2, 512)
+        err, _ = errors_read_whole(X, P2, 512)
         for k in range(512):
-            assert es.err[k] == digit_sum(k + 1, P2)
+            assert err[k] == digit_sum(k + 1, P2)
 
     def test_rootless_identically_zero(self):
-        spec = make_spec(IntPolynomial([1, 0, 1]))
-        es = error_series(spec, P3, 50)
-        assert set(es.err) == {0} and set(es.relerr) == {0}
+        err, relerr = errors_read_whole(IntPolynomial([1, 0, 1]), P3, 50)
+        assert set(err) == {0} and set(relerr) == {0}
 
     def test_omega_example(self):
-        spec = make_spec(IntPolynomial([1, 0, 1]))
-        es = error_series(spec, P5, 5)
-        assert es.z_p == 2
+        assert classify_prime(IntPolynomial([1, 0, 1]), P5).z_p == 2
+        err, _ = errors_read_whole(IntPolynomial([1, 0, 1]), P5, 5)
         # z*n - (p-1)*v with v = [0, 1, 2, 2, 2]
-        assert es.err == (2, 0, -2, 0, 2)
+        assert err == [2, 0, -2, 0, 2]
 
     def test_relerr_identity(self):
-        spec = make_spec(Q1)
-        es = error_series(spec, P5, 300)
-        pm1 = 4
+        _, relerr = errors_read_whole(Q1, P5, 300)
+        zp, pm1 = 2, 4
         for k in range(300):
             term = int_valuation(Q1.evaluate(k + 1), P5)
-            assert es.relerr[k] == es.z_p - pm1 * term
+            assert relerr[k] == zp - pm1 * term
 
-    def test_csv(self):
-        spec = make_spec(X)
-        es = error_series(spec, P2, 2)
-        assert es.to_csv() == "n,err,relerr\n1,1,1\n2,1,0\n"
+    def test_csv(self, capsys):
+        assert main(["errors", "--poly", "x", "--prime", "2", "--n-max", "2", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "n,err,relerr\n1,1,1\n2,1,0\n"
 
 
 class TestScanPrimes:
     def test_example2_truncated(self):
-        results = scan_primes(Q1, 600)
+        results = list(scan_primes(Q1, 600))
         non_hensel = {
             p.value
             for p, c in results
@@ -169,8 +172,8 @@ class TestScanPrimes:
         assert results[2].verdict is not Verdict.ALL_RESIDUES
 
     def test_parallel_matches_sequential(self):
-        seq = scan_primes(Q1, 120, workers=1)
-        par = scan_primes(Q1, 120, workers=2)
+        seq = list(scan_primes(Q1, 120, workers=1))
+        par = list(scan_primes(Q1, 120, workers=2))
         assert seq == par
 
     def test_pool_clamped_to_cpus(self, monkeypatch):
@@ -191,7 +194,7 @@ class TestScanPrimes:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        assert scan_primes(Q1, 10, workers=64) == scan_primes(Q1, 10)
+        assert list(scan_primes(Q1, 10, workers=64)) == list(scan_primes(Q1, 10))
         cpus = os.cpu_count() or 1
         assert all(size <= cpus for size in sizes)
         assert sizes == ([min(cpus, 10)] if cpus > 1 else [])

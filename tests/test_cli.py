@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicval import analysis, cli, recurrence, reproduce
+from padicval import cli, padic, recurrence, reproduce
 from padicval.cli import main
 from padicval.padic import Prime
 from padicval.parser import parse_poly
@@ -148,6 +148,20 @@ class TestValuation:
         assert code == 0
         assert abs(Fraction(int(out), n) - slope) < Fraction(1, 10**95)
 
+    def test_engine_is_looked_up_per_call(self, capsys, monkeypatch):
+        # a patched engine (a test's fake, a tracer's wrapper) is the one --engine runs
+        calls = []
+
+        def fake(spec, p, n):
+            calls.append((spec.poly, p, n))
+            return 7
+
+        monkeypatch.setattr(recurrence, "valuation_tn_direct", fake)
+        code, out, _ = run(capsys, "valuation", "--poly", "x", "--prime", "2", "--n", "10",
+                           "--engine", "direct")
+        assert (code, out) == (0, "7\n")
+        assert calls == [(parse_poly("x"), Prime(2), 10)]
+
     def test_integer_root_without_shift(self, capsys):
         code, _, _ = run(capsys, "valuation", "--poly", "x-3", "--prime", "2",
                          "--n", "5", "--no-auto-shift")
@@ -208,16 +222,24 @@ class TestStreamedSeries:
     @pytest.mark.parametrize("n", [1, 6, 7, 8, 22])
     @pytest.mark.parametrize("poly, p", [("x^5+2x^3+3", 3), ("3x^2+3", 3), ("x^2-5x+6", 2)])
     def test_equals_the_library_series(self, capsys, monkeypatch, poly, p, n):
+        # the oracle is valuation_tn at each k <= n, one walk per k, outside the blocks
         monkeypatch.setattr(recurrence, "BLOCK", 7)
         spec, prime = recurrence.make_spec(parse_poly(poly)), Prime(p)
-        for command, series in (("series", recurrence.valuation_series(spec, prime, n)),
-                                ("errors", analysis.error_series(spec, prime, n))):
+        values = [recurrence.valuation_tn(spec, prime, k) for k in range(1, n + 1)]
+        zp = padic.classify_prime(spec.poly, prime).z_p
+        err = [zp * k - (p - 1) * v for k, v in enumerate(values, 1)]
+        relerr = [e - d for e, d in zip(err, [0] + err)]
+        for command, header, cols, fields in (
+                ("series", "n,valuation", [values],
+                 {"p": p, "poly": format_poly(spec.poly), "n0": spec.start_index, "values": values}),
+                ("errors", "n,err,relerr", [err, relerr],
+                 {"p": p, "z_p": zp, "err": err, "relerr": relerr})):
             argv = (command, "--poly", poly, "--prime", str(p), "--n-max", str(n), "--format")
-            csv_text = series.to_csv()
-            assert run(capsys, *argv, "csv")[1] == csv_text
-            assert run(capsys, *argv, "table")[1] == "".join(
-                line.replace(",", " ") + "\n" for line in csv_text.splitlines()[1:])
-            assert run(capsys, *argv, "json")[1] == json.dumps(series.to_json(), sort_keys=True) + "\n"
+            rows = [[k, *row] for k, row in enumerate(zip(*cols), 1)]
+            assert run(capsys, *argv, "csv")[1] == "".join(
+                ",".join(map(str, r)) + "\n" for r in [header.split(","), *rows])
+            assert run(capsys, *argv, "table")[1] == "".join(" ".join(map(str, r)) + "\n" for r in rows)
+            assert run(capsys, *argv, "json")[1] == json.dumps(fields, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("command", ["series", "errors"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -320,6 +342,35 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--poly", poly, "--count", "1000", "--format", "csv")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("poly, fmt, digest", [
+        ("x^5+2x^3+3", "json", "63a7ca1011b78e18b3502d66e19e6df25d889596d061be2f9a91b1226dfc7eaf"),
+        ("x^5+2x^3+3", "table", "78ded68ac92c23b3fcfe5399323d160b96ce8347c99f1cf90d5281fda852c475"),
+        ("x^8+x^5+x^3+1", "json", "21c0d0eda88724d96a6ed7df6ab5e0242900b22cc421563da8f31a72c51f34f2"),
+        ("x^8+x^5+x^3+1", "table", "84b0f5b4e9435b390aba6bdb83aa97a04137bdae978c2400031f8d47544c3fe6"),
+        ("x^12+2x^11+14x^10-6x^8+2x^7+4x^6-8x^5+10x^4+2x^2-4x+6", "json",
+         "f61bcaf552b582ff3bb9b428244bbef3fb4a3d887d04a7512266e9d96d220726"),
+        ("x^12+2x^11+14x^10-6x^8+2x^7+4x^6-8x^5+10x^4+2x^2-4x+6", "table",
+         "ec1eafcbdb18a6fbd475f2af61615520180d5badae9c97c7cab71d4dbe9a8db9"),
+    ])
+    def test_golden_json_and_table(self, capsys, poly, fmt, digest):
+        # taken from the output written whole, as json.dumps of the list and one joined table
+        code, out, _ = run(capsys, "scan", "--poly", poly, "--count", "1000", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_memory_is_bounded(self, fmt):
+        # rows are written as they are classified: no list of 5000 classifications,
+        # rows or output text (4 to 7 MiB when written whole)
+        tracemalloc.start()
+        try:
+            assert main(["scan", "--poly", "x^8+x^5+x^3+1", "--count", "5000", "--format", fmt,
+                         "--out", os.devnull]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_deterministic(self, capsys):
         a = run(capsys, "scan", "--poly", "x^5+2x^3+3", "--count", "50", "--format", "json")

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import accumulate
+from itertools import accumulate, chain
 from unittest import mock
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from padicval import recurrence
 from padicval.analysis import error_series
+from padicval.cli import main
 
 from padicval.errors import HasIntegerRootError, NotHenselPrimeError, ZeroPolynomialError
 from padicval.padic import Prime, Verdict, classify_prime, digit_sum, int_valuation, is_prime
@@ -20,7 +21,6 @@ from padicval.recurrence import (
     count_congruent,
     make_spec,
     max_power_index,
-    term_valuations,
     valuation_blocks,
     valuation_series,
     valuation_tn,
@@ -32,6 +32,11 @@ X = IntPolynomial([0, 1])
 OMEGA = IntPolynomial([1, 0, 1])  # x^2+1
 Q1 = IntPolynomial([3, 0, 0, 2, 0, 1])
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
+
+
+def series_values(spec, p, n):
+    """valuation_series read whole: the valuations of t_1 .. t_n."""
+    return [v for col, in valuation_series(spec, p, n) for v in col]
 
 
 class TestMakeSpec:
@@ -183,9 +188,9 @@ class TestTree:
         v = valuation_tn(spec, p, n)
         assert v == valuation_tn_direct(spec, p, n)
         lo = spec.start_index
-        assert term_valuations(spec, p, n) == [int_valuation(spec.poly.evaluate(i), p)
-                                               for i in range(lo + 1, lo + n + 1)]
-        assert valuation_series(spec, p, n).values[-1] == v
+        assert list(chain.from_iterable(valuation_blocks(spec, p, n))) == \
+            [int_valuation(spec.poly.evaluate(i), p) for i in range(lo + 1, lo + n + 1)]
+        assert series_values(spec, p, n)[-1] == v
 
     @pytest.mark.parametrize("call", [
         "valuation_tn(RecurrenceSpec(IntPolynomial([-3, 1]), 0), Prime(2), 100)",
@@ -241,15 +246,16 @@ class TestBlocks:
         with mock.patch.object(recurrence, "BLOCK", self.L):
             assert [len(b) for b in valuation_blocks(spec, p, n)] == \
                 [self.L] * (n // self.L) + [n % self.L] * (n % self.L > 0)
-            assert term_valuations(spec, p, n) == terms
+            assert list(chain.from_iterable(valuation_blocks(spec, p, n))) == terms
             series = valuation_series(spec, p, n)
-            assert series.values == tuple(accumulate(terms))
-            assert series.values[-1] == valuation_tn_direct(spec, p, n)
+            assert [len(col) for col, in series] == [len(b) for b in valuation_blocks(spec, p, n)]
+            values = series_values(spec, p, n)
+            assert values == list(accumulate(terms))
+            assert values[-1] == valuation_tn_direct(spec, p, n)
             assert max_power_index(spec, p, n) == max(terms)
-            es = error_series(spec, p, n)
-        relerr = [es.z_p - pm1 * v for v in terms]
-        assert es.z_p == classify_prime(spec.poly, p).z_p
-        assert es.relerr == tuple(relerr) and es.err == tuple(accumulate(relerr))
+            zp = classify_prime(spec.poly, p).z_p
+            err, relerr = (list(chain.from_iterable(col)) for col in zip(*error_series(spec, p, n, zp)))
+        assert relerr == [zp - pm1 * v for v in terms] and err == list(accumulate(relerr))
 
     def test_n_below_one(self):
         with pytest.raises(ValueError):
@@ -259,29 +265,30 @@ class TestBlocks:
 class TestSeries:
     def test_omega_p5(self):
         spec = make_spec(OMEGA)
-        assert valuation_series(spec, P5, 5).values == (0, 1, 2, 2, 2)
+        assert series_values(spec, P5, 5) == [0, 1, 2, 2, 2]
 
     def test_factorial_p2(self):
         spec = make_spec(X)
-        assert valuation_series(spec, P2, 4).values == (0, 1, 1, 3)
+        assert series_values(spec, P2, 4) == [0, 1, 1, 3]
 
     def test_rootless_all_zero(self):
         spec = make_spec(OMEGA)
-        assert set(valuation_series(spec, P3, 100).values) == {0}
+        assert set(series_values(spec, P3, 100)) == {0}
 
     def test_increments_match_term_valuations(self):
         spec = make_spec(Q1)
-        series = valuation_series(spec, P5, 200)
         prev = 0
-        for k, v in enumerate(series.values, start=1):
+        for k, v in enumerate(series_values(spec, P5, 200), start=1):
             assert v - prev == int_valuation(Q1.evaluate(k), P5)
             prev = v
 
-    def test_csv_and_json(self):
-        spec = make_spec(OMEGA)
-        series = valuation_series(spec, P5, 3)
-        assert series.to_csv() == "n,valuation\n1,0\n2,1\n3,2\n"
-        assert series.to_json() == {"p": 5, "poly": "x^2+1", "n0": 0, "values": [0, 1, 2]}
+    def test_csv_and_json(self, capsys):
+        assert list(valuation_series(make_spec(OMEGA), P5, 3)) == [([0, 1, 2],)]
+        argv = ["series", "--poly", "x^2+1", "--prime", "5", "--n-max", "3", "--format"]
+        assert main(argv + ["csv"]) == 0
+        assert capsys.readouterr().out == "n,valuation\n1,0\n2,1\n3,2\n"
+        assert main(argv + ["json"]) == 0
+        assert capsys.readouterr().out == '{"n0": 0, "p": 5, "poly": "x^2+1", "values": [0, 1, 2]}\n'
 
 
 class TestMaxPowerIndex:
