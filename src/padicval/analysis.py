@@ -72,13 +72,17 @@ def error_series(spec: RecurrenceSpec, p: Prime, n_max: int, z_p: int
         yield errs, relerr
 
 
+SCAN_WINDOW = 1024  # primes submitted to the pool at once: 16 chunks of 64
+
+
 def scan_primes(q: IntPolynomial, count: int, workers: int = 1
                 ) -> Iterator[tuple[Prime, PrimeClassification]]:
     """Classify q at each of the first `count` primes, yielding each in prime order.
 
     With workers > 1 the classifications run in a process pool of at most
-    one process per CPU and per prime; output is identical to the
-    sequential run.
+    one process per CPU and per prime, SCAN_WINDOW primes at a time, so at
+    most one window of answers waits to be yielded; output is identical to
+    the sequential run.
     """
     primes = primes_first(count)
     workers = min(workers, os.cpu_count() or 1, len(primes))
@@ -86,7 +90,9 @@ def scan_primes(q: IntPolynomial, count: int, workers: int = 1
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from zip(primes, pool.map(classify_prime, repeat(q), primes, chunksize=64))
+            for s in range(0, len(primes), SCAN_WINDOW):
+                window = primes[s : s + SCAN_WINDOW]
+                yield from zip(window, pool.map(classify_prime, repeat(q), window, chunksize=64))
     else:
         for p in primes:
             yield p, classify_prime(q, p)
@@ -99,20 +105,6 @@ class SlopeReport:
     predicted: Fraction    # per-n slope of the valuation
     n_p: Fraction          # asymptotic zero number
     empirical: tuple[tuple[int, Fraction], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p.value,
-            "classification": self.classification.to_json(),
-            "slope": format_fraction(self.predicted),
-            "N_p": format_fraction(self.n_p),
-            "empirical": [[n, format_fraction(v)] for n, v in self.empirical],
-        }
-
-
-def format_fraction(x: Fraction) -> str:
-    """Exact "num/den" text."""
-    return f"{x.numerator}/{x.denominator}"
 
 
 def slope_report(spec: RecurrenceSpec, p: Prime, sample_points: tuple[int, ...] = ()) -> SlopeReport:

@@ -2,27 +2,27 @@
 
 Every engine is exposed as a subcommand; output is deterministic and
 exact (rationals print as "num/den", never floats).  Exit codes: 0 on
-success, 1 on domain errors, 2 on usage errors.
+success, 1 on domain errors, 2 on usage errors.  This is the one module
+that formats output: a command returns its Answer, and _write prints it
+as csv, json or a table.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import functools
 import json
 import math
 import sys
-from typing import Callable, Iterable, TextIO
+from fractions import Fraction
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import analysis, padic, recurrence, reproduce
-from .analysis import format_fraction
 from .errors import PadicValError, ParseError
 from .parser import parse_poly
 from .poly import IntPolynomial, format_poly
-
-# A command's output: its whole text, or a function writing it to a stream.
-Output = "str | Callable[[TextIO], object]"
 
 
 def _poly_arg(text: str) -> IntPolynomial:
@@ -53,22 +53,68 @@ def _nonneg_int(text: str) -> int:
     return n
 
 
-def _emit(output: Output, out_path: str | None) -> None:
-    write = output if callable(output) else lambda fh: fh.write(output)
-    if out_path:
-        with open(out_path, "w") as fh:
-            write(fh)
+class Answer(NamedTuple):
+    """A command's answer for each format: the json payload, where a callable
+    yields a list's items json-encoded in non-empty blocks; the csv header
+    and rows, in blocks of equally long columns; the table text or, if it
+    is empty, the template of one table row."""
+
+    payload: object
+    header: Iterable[str] = ()
+    blocks: Iterable[Sequence[Sequence]] = ()
+    table: str = ""
+    row: str = ""
+
+
+def _write_json(out: TextIO, value) -> None:
+    """What json.dumps(value, sort_keys=True) gives, where value or a value of
+    its dict may be a callable, written as the list it yields."""
+    if callable(value):
+        out.write("[")
+        out.writelines((", " if i else "") + ", ".join(items) for i, items in enumerate(value()))
+        out.write("]")
+    elif isinstance(value, dict) and any(map(callable, value.values())):
+        out.write("{")
+        for i, key in enumerate(sorted(value)):
+            out.write((", " if i else "") + json.dumps(key) + ": ")
+            _write_json(out, value[key])
+        out.write("}")
     else:
-        write(sys.stdout)
+        out.write(json.dumps(value, sort_keys=True))
 
 
-def _csv(header: Iterable, rows: Iterable[Iterable]) -> Output:
-    """A writer of the header and rows as comma-separated lines, one row at a time."""
-    def write(out: TextIO) -> None:
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-    return write
+def _write(out: TextIO, fmt: str, answer: Answer) -> None:
+    """The answer in the format fmt, one block of rows or json items at a time."""
+    if fmt == "json":
+        _write_json(out, answer.payload)
+        out.write("\n")
+    elif fmt == "table" and answer.table:
+        out.write(answer.table)
+    else:
+        row = answer.row
+        if fmt == "csv":  # no field holds a comma, a quote or a line break
+            out.write(",".join(answer.header) + "\n")
+            row = ",".join(["%s"] * len(answer.header)) + "\n"
+        for cols in answer.blocks:
+            k, width = len(cols[0]), len(cols)
+            flat = [None] * (k * width)  # the block's rows, one value after another
+            for j, col in enumerate(cols):
+                flat[j::width] = col
+            out.write((row * k) % tuple(flat))
+
+
+def _numbered(blocks: Iterable[Sequence[Sequence]]) -> Iterator[tuple]:
+    """Each block of columns with the column n = 1, 2, ... in front."""
+    n = 1
+    for cols in blocks:
+        k = len(cols[0])
+        yield (range(n, n + k), *cols)
+        n += k
+
+
+def format_fraction(x: Fraction) -> str:
+    """Exact "num/den" text."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _add_common(sub, poly=True, prime=True):
@@ -129,6 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scan-count", type=_positive_int, default=5000)
     s.add_argument("--workers", type=_positive_int, default=1)
     s.add_argument("--out", metavar="PATH")
+    s.set_defaults(format="table")
 
     return ap
 
@@ -136,14 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _cmd_roots(args) -> Output:
+def _cmd_roots(args) -> Answer:
     roots = padic.roots_mod_p(args.poly, args.prime)
-    if args.format == "json":
-        payload = {"p": args.prime.value, "poly": format_poly(args.poly), "roots": roots}
-        return json.dumps(payload, sort_keys=True) + "\n"
-    if args.format == "csv":
-        return _csv(["root"], [[r] for r in roots])
-    return " ".join(str(r) for r in roots) + "\n"
+    return Answer({"p": args.prime.value, "poly": format_poly(args.poly), "roots": roots},
+                  ["root"], [(roots,)], " ".join(map(str, roots)) + "\n")
 
 
 _CLASSIFICATION_HEADER = ["p", "verdict", "roots", "non_hensel_roots"]
@@ -154,16 +197,18 @@ def _classification_row(cls: padic.PrimeClassification) -> list:
             ";".join(map(str, cls.roots)), ";".join(map(str, cls.non_hensel_roots))]
 
 
-def _cmd_classify(args) -> Output:
+def _classification_json(cls: padic.PrimeClassification) -> dict:
+    payload = {"p": cls.p.value, "verdict": cls.verdict.value}
+    if cls.verdict is not padic.Verdict.ALL_RESIDUES:  # p residues are not listed
+        payload.update(roots=list(cls.roots), non_hensel_roots=list(cls.non_hensel_roots))
+    return payload
+
+
+def _cmd_classify(args) -> Answer:
     cls = padic.classify_prime(args.poly, args.prime)
-    if args.format == "json":
-        return json.dumps(cls.to_json(), sort_keys=True) + "\n"
-    if args.format == "csv":
-        return _csv(_CLASSIFICATION_HEADER, [_classification_row(cls)])
-    return (
-        f"{cls.verdict.value} roots={','.join(map(str, cls.roots))}"
-        f" non_hensel={','.join(map(str, cls.non_hensel_roots))}\n"
-    )
+    return Answer(_classification_json(cls), _CLASSIFICATION_HEADER, [list(zip(_classification_row(cls)))],
+                  f"{cls.verdict.value} roots={','.join(map(str, cls.roots))}"
+                  f" non_hensel={','.join(map(str, cls.non_hensel_roots))}\n")
 
 
 def max_lift_precision(pv: int, digits: int) -> int:
@@ -177,21 +222,18 @@ def max_lift_precision(pv: int, digits: int) -> int:
     return k
 
 
-def _cmd_lift(args) -> Output:
+def _cmd_lift(args) -> Answer:
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if digits and args.precision > (limit := max_lift_precision(args.prime.value, digits)):
         _parser().error(f"argument --precision: must be <= {limit} at p = {args.prime}, "
                         f"so that p^(k+1) stays within {digits} decimal digits")
     root = padic.hensel_lift(args.poly, args.prime, args.root, args.precision)
     value = root.truncation_value(root.precision - 1)
-    if args.format == "json":
-        payload = root.to_json()
-        payload["value"] = value
-        return json.dumps(payload, sort_keys=True) + "\n"
-    if args.format == "csv":
-        return _csv(["s", "digit", "truncation"],
-                    zip(range(root.precision), root.digits, root.truncations()))
-    return f"digits={','.join(map(str, root.digits))} value={value}\n"
+    rows = zip(range(root.precision), root.digits, root.truncations())
+    blocks = iter(lambda: list(zip(*islice(rows, 64))), [])  # a truncation may have 4300 digits
+    return Answer({"p": args.prime.value, "digits": list(root.digits), "value": value},
+                  ["s", "digit", "truncation"], blocks,
+                  f"digits={','.join(map(str, root.digits))} value={value}\n")
 
 
 def _make_spec(args) -> recurrence.RecurrenceSpec:
@@ -202,70 +244,56 @@ def _make_spec(args) -> recurrence.RecurrenceSpec:
 _ENGINES = {"auto": "valuation_tn", "fast": "valuation_tn_fast", "direct": "valuation_tn_direct"}
 
 
-def _cmd_valuation(args) -> Output:
+def _cmd_valuation(args) -> Answer:
     v = getattr(recurrence, _ENGINES[args.engine])(_make_spec(args), args.prime, args.n)
-    if args.format == "json":
-        payload = {"p": args.prime.value, "poly": format_poly(args.poly),
-                   "n": args.n, "valuation": v}
-        return json.dumps(payload, sort_keys=True) + "\n"
-    if args.format == "csv":
-        return _csv(["n", "valuation"], [[args.n, v]])
-    return f"{v}\n"
+    return Answer({"p": args.prime.value, "poly": format_poly(args.poly), "n": args.n, "valuation": v},
+                  ["n", "valuation"], [([args.n], [v])], f"{v}\n")
 
 
-def _cmd_series(args) -> Output:
+def _cmd_series(args) -> Answer:
     spec, p = _make_spec(args), args.prime
-    fields = {"p": p.value, "poly": format_poly(spec.poly), "n0": spec.start_index, "values": None}
-    return functools.partial(recurrence.write_series, fmt=args.format,
-                             header=("n", "valuation"),
-                             blocks=lambda: recurrence.valuation_series(spec, p, args.n_max),
-                             json_fields=fields)
+    series = functools.partial(recurrence.valuation_series, spec, p, args.n_max)
+    payload = {"p": p.value, "poly": format_poly(spec.poly), "n0": spec.start_index,
+               "values": lambda: (map(str, values) for values, in series())}
+    return Answer(payload, ["n", "valuation"], _numbered(series()), row="%s %s\n")
 
 
-def _cmd_slope(args) -> Output:
+def _cmd_slope(args) -> Answer:
     report = analysis.slope_report(_make_spec(args), args.prime, (args.n,) if args.n else ())
-    if args.format == "json":
-        return json.dumps(report.to_json(), sort_keys=True) + "\n"
-    if args.format == "csv":
-        rows = [["exact", format_fraction(report.predicted), format_fraction(report.n_p)]]
-        rows += [[f"empirical_n={n}", format_fraction(v), ""] for n, v in report.empirical]
-        return _csv(["kind", "E", "N"], rows)
-    parts = [f"E={format_fraction(report.predicted)} N={format_fraction(report.n_p)}"]
-    parts += [f"empirical(n={n})={format_fraction(v)}" for n, v in report.empirical]
-    return " ".join(parts) + "\n"
+    e, n_p = format_fraction(report.predicted), format_fraction(report.n_p)
+    empirical = [[n, format_fraction(v)] for n, v in report.empirical]
+    payload = {"p": report.p.value, "classification": _classification_json(report.classification),
+               "slope": e, "N_p": n_p, "empirical": empirical}
+    rows = [("exact", e, n_p)] + [(f"empirical_n={n}", v, "") for n, v in empirical]
+    table = " ".join([f"E={e} N={n_p}"] + [f"empirical(n={n})={v}" for n, v in empirical])
+    return Answer(payload, ["kind", "E", "N"], [list(zip(*rows))], table + "\n")
 
 
-def _cmd_errors(args) -> Output:
+def _cmd_errors(args) -> Answer:
     spec, p = _make_spec(args), args.prime
     zp = padic.classify_prime(spec.poly, p).z_p
-    fields = {"p": p.value, "z_p": zp, "err": None, "relerr": None}
-    return functools.partial(recurrence.write_series, fmt=args.format,
-                             header=("n", "err", "relerr"),
-                             blocks=lambda: analysis.error_series(spec, p, args.n_max, zp),
-                             json_fields=fields)
+    series = functools.partial(analysis.error_series, spec, p, args.n_max, zp)
+    payload = {"p": p.value, "z_p": zp, "err": lambda: (map(str, err) for err, _ in series()),
+               "relerr": lambda: (map(str, relerr) for _, relerr in series())}
+    return Answer(payload, ["n", "err", "relerr"], _numbered(series()), row="%s %s %s\n")
 
 
-def _cmd_scan(args) -> Output:
-    results = analysis.scan_primes(args.poly, args.count, workers=args.workers)
-    if args.format == "json":  # what json.dumps of the whole list gives, one item at a time
-        def write(out: TextIO) -> None:
-            out.write("[")
-            out.writelines((", " if i else "") + json.dumps(c.to_json(), sort_keys=True)
-                           for i, (_, c) in enumerate(results))
-            out.write("]\n")
-        return write
-    rows = (_classification_row(c) for _, c in results)
-    if args.format == "csv":
-        return _csv(_CLASSIFICATION_HEADER, rows)
-    return lambda out: out.writelines(f"{r[0]} {r[1]} roots={r[2]} non_hensel={r[3]}\n" for r in rows)
+def _cmd_scan(args) -> Answer:
+    def windows(encode: Callable) -> Iterator[list]:
+        results = (encode(c) for _, c in analysis.scan_primes(args.poly, args.count, workers=args.workers))
+        return iter(lambda: list(islice(results, 256)), [])
+
+    encoded = functools.partial(windows, lambda c: json.dumps(_classification_json(c), sort_keys=True))
+    blocks = (list(zip(*rows)) for rows in windows(_classification_row))
+    return Answer(encoded, _CLASSIFICATION_HEADER, blocks, row="%s %s roots=%s non_hensel=%s\n")
 
 
-def _cmd_reproduce(args) -> tuple[str, int]:
+def _cmd_reproduce(args) -> tuple[Answer, int]:
     claims = reproduce.run(args.selector, scan_count=args.scan_count, workers=args.workers)
+    passed = sum(ok for _, ok in claims)
     lines = [("PASS " if ok else "FAIL ") + name for name, ok in claims]
-    ok_all = all(ok for _, ok in claims)
-    lines.append(f"{sum(ok for _, ok in claims)}/{len(claims)} claims pass")
-    return "\n".join(lines) + "\n", 0 if ok_all else 1
+    lines.append(f"{passed}/{len(claims)} claims pass")
+    return Answer(None, table="\n".join(lines) + "\n"), 0 if passed == len(claims) else 1
 
 
 _DISPATCH = {
@@ -284,10 +312,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "reproduce":
-            output, code = _cmd_reproduce(args)
+            answer, code = _cmd_reproduce(args)
         else:
-            output, code = _DISPATCH[args.command](args), 0
-        _emit(output, args.out)
+            answer, code = _DISPATCH[args.command](args), 0
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            _write(out, args.format, answer)
     except (PadicValError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

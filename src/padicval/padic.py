@@ -1,9 +1,9 @@
 """Prime-level primitives.
 
 Integer valuations, base-p digit sums, the factorial-valuation formula,
-roots of a polynomial mod p, Hensel-zero classification, digit-by-digit
-Hensel lifting, and the node step of the p-adic descent.  Residues are
-canonicalized to [0, p-1] throughout.
+roots of a polynomial mod p, Hensel-zero classification, Hensel lifting by
+Newton's iteration, and the node step of the p-adic descent.  Residues
+are canonicalized to [0, p-1] throughout.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     PolynomialVanishesModP,
     ValuationOfZeroError,
 )
-from .poly import IntPolynomial
+from .poly import IntPolynomial, newton_lift
 
 # Below the threshold an exhaustive residue scan finds roots; above it we
 # first split off the product of linear factors via gcd with x^p - x.  On
@@ -131,7 +131,7 @@ def is_prime(n: int) -> bool:
     )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Prime:
     value: int
 
@@ -464,16 +464,6 @@ class PrimeClassification:
         """Every root of q mod p is simple (vacuously so without roots)."""
         return self.verdict in (Verdict.HENSEL, Verdict.NO_ROOTS)
 
-    def to_json(self) -> dict:
-        if self.verdict is Verdict.ALL_RESIDUES:  # p residues are not listed
-            return {"p": self.p.value, "verdict": self.verdict.value}
-        return {
-            "p": self.p.value,
-            "verdict": self.verdict.value,
-            "roots": list(self.roots),
-            "non_hensel_roots": list(self.non_hensel_roots),
-        }
-
 
 def classify_prime(q: IntPolynomial, p: Prime) -> PrimeClassification:
     """Root census mod p with the simple/non-simple split.
@@ -530,9 +520,6 @@ class HenselRoot:
             raise IndexError(f"truncation index {s} out of range [0, {len(self.digits) - 1}]")
         return next(islice(self.truncations(), s, None))
 
-    def to_json(self) -> dict:
-        return {"p": self.p.value, "digits": list(self.digits)}
-
 
 def hensel_digit(q: IntPolynomial, pv: int, gamma: int, ps: int, dinv: int) -> int:
     """Next base-p digit of a simple root gamma of q mod ps = p^s; dinv = 1/q'(gamma) mod p."""
@@ -540,21 +527,18 @@ def hensel_digit(q: IntPolynomial, pv: int, gamma: int, ps: int, dinv: int) -> i
 
 
 def hensel_lift(q: IntPolynomial, p: Prime, a: int, k: int) -> HenselRoot:
-    """Lift a simple root a of q mod p to a root mod p^(k+1)."""
+    """Lift a simple root a of q mod p to a root mod p^(k+1), by Newton's iteration."""
     pv = p.value
     a %= pv
     if q.evaluate_mod(a, pv) != 0:
         raise NotARootError(f"{a} is not a root of {q} mod {pv}")
-    d = q.derivative().evaluate_mod(a, pv)
-    if d == 0:
+    if q.derivative().evaluate_mod(a, pv) == 0:
         raise NotSimpleRootError(f"derivative vanishes at {a} mod {pv}")
-    dinv = pow(d, -1, pv)
-    digits = [a]
-    gamma, ps = a, pv  # the root mod p^s
-    for _ in range(k):
-        digits.append(hensel_digit(q, pv, gamma, ps, dinv))
-        gamma += digits[-1] * ps
-        ps *= pv
+    x = newton_lift(q, a, pv, k + 1)
+    digits = []
+    for _ in range(k + 1):
+        x, digit = divmod(x, pv)
+        digits.append(digit)
     return HenselRoot(p, tuple(digits))
 
 

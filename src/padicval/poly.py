@@ -264,11 +264,21 @@ def nonneg_integer_roots(q: IntPolynomial) -> set[int]:
         residues = [b for b in range(ell) if r.evaluate_mod(b, ell) == 0]
         if all(dr.evaluate_mod(b, ell) for b in residues):
             break
+    e = bound.bit_length() // (ell.bit_length() - 1) + 1  # ell^e > 2^bitlength(bound) > bound
     for x in residues:
-        m = ell  # x is a root mod m
-        while m <= bound:
-            m *= m
-            x = (x - r.evaluate_mod(x, m) * pow(dr.evaluate_mod(x, m), -1, m)) % m
+        x = newton_lift(r, x, ell, e)
         if 0 < x <= bound and r.evaluate(x) == 0:
             roots.add(x)
     return roots
+
+
+def newton_lift(q: IntPolynomial, x: int, p: int, e: int) -> int:
+    """The root of q mod p^e in [0, p^e) above x, a simple root of q mod the prime p.
+
+    Newton's iteration from the root mod p^ceil(e/2): about log2(e) steps,
+    each evaluating q and q' once.
+    """
+    if e <= 1:
+        return x
+    x, m = newton_lift(q, x, p, (e + 1) // 2), p**e
+    return (x - q.evaluate_mod(x, m) * pow(q.derivative().evaluate_mod(x, m), -1, m)) % m

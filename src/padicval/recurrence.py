@@ -9,10 +9,9 @@ which evaluates at most one term per class.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Iterator
 
 from .errors import HasIntegerRootError, NotHenselPrimeError, ValuationOfZeroError, ZeroPolynomialError
 from .padic import Prime, classify_prime, descent_step, hensel_digit, int_valuation
@@ -147,46 +146,6 @@ def valuation_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> Iterator[tup
         sums = list(accumulate(block, initial=total))[1:]
         total = sums[-1]
         yield (sums,)
-
-
-def write_series(out: TextIO, fmt: str, header: tuple[str, ...],
-                 blocks: Callable[[], Iterable[tuple[Iterable[int], ...]]], json_fields: dict) -> None:
-    """An integer series as csv, table or json, written block by block.
-
-    Each call of blocks() walks the series afresh and yields, per block,
-    its columns after n, which counts from 1.  json is what
-    json.dumps(json_fields, sort_keys=True) gives once each key whose value
-    is None holds its column's list (columns in key order); it walks the
-    series once per such key.
-    """
-    if fmt == "json":
-        streamed = [key for key, value in json_fields.items() if value is None]
-        out.write("{")
-        for i, key in enumerate(sorted(json_fields)):
-            out.write((", " if i else "") + json.dumps(key) + ": ")
-            if key in streamed:
-                j = streamed.index(key)
-                out.write("[")
-                out.writelines((", " if b else "") + ", ".join(map(str, cols[j]))
-                               for b, cols in enumerate(blocks()))
-                out.write("]")
-            else:
-                out.write(json.dumps(json_fields[key]))
-        out.write("}\n")
-    else:
-        width = len(header)
-        row = ("," if fmt == "csv" else " ").join(["%d"] * width) + "\n"
-        if fmt == "csv":
-            out.write(",".join(header) + "\n")
-        n = 1
-        for cols in blocks():
-            k = len(cols[0])
-            flat = [None] * (k * width)  # the block's rows, one value after another
-            flat[::width] = range(n, n + k)
-            for j, col in enumerate(cols, 1):
-                flat[j::width] = col
-            out.write((row * k) % tuple(flat))
-            n += k
 
 
 def max_power_index(spec: RecurrenceSpec, p: Prime, n: int) -> int:

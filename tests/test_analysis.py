@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import os
 import random
 from fractions import Fraction
@@ -310,9 +311,9 @@ class TestSlopeReport:
         (n, v), = report.empirical
         assert n == 100 and v == empirical_slope(spec, P5, 100)
 
-    def test_json_rationals_as_strings(self):
-        spec = make_spec(Q1)
-        payload = slope_report(spec, Prime(29)).to_json()
+    def test_json_rationals_as_strings(self, capsys):
+        assert main(["slope", "--poly", "x^5+2x^3+3", "--prime", "29", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["slope"] == "57/812"
         assert payload["N_p"] == "57/29"
 

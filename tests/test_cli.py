@@ -359,14 +359,18 @@ class TestScan:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
-    def test_memory_is_bounded(self, fmt):
+    @pytest.mark.parametrize("fmt, workers", [("csv", 1), ("json", 1), ("table", 1), ("csv", 2)],
+                             ids=["csv", "json", "table", "csv-workers2"])
+    def test_memory_is_bounded(self, fmt, workers):
         # rows are written as they are classified: no list of 5000 classifications,
-        # rows or output text (4 to 7 MiB when written whole)
+        # rows or output text (4 to 7 MiB when written whole); a pool is handed one
+        # window of primes at a time, so its answers do not wait in 5000 futures
+        main(["scan", "--poly", "x", "--count", "2", "--workers", str(workers),
+              "--out", os.devnull])  # imports what a pool needs before the tracing starts
         tracemalloc.start()
         try:
             assert main(["scan", "--poly", "x^8+x^5+x^3+1", "--count", "5000", "--format", fmt,
-                         "--out", os.devnull]) == 0
+                         "--workers", str(workers), "--out", os.devnull]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -399,6 +403,50 @@ class TestReproduce:
             counts[selector] = len(out.splitlines()) - 1
         assert counts == {"example1": 4, "example2": 9, "example3": 10, "example4": 18,
                           "legendre": 10, "xp_pm1": 10, "all": 61}
+
+
+class TestGolden:
+    """Every single-answer subcommand in every format, byte for byte."""
+
+    @pytest.mark.parametrize("argv, digests", [
+        ("roots --poly x^8+x^5+x^3+1 --prime 1009",
+         ("f575702d2e78d6473a8daa165460dce109a5ed9cca373960d798070f758230ae",
+          "c58d54bf98221b6569eae5635cbd2d10e66b596a8e9912dc010dc538600bdc33",
+          "2311571efe2ba5c07a72917ace39d0df6011e4351ecc8067b829dda2bca3095b")),
+        ("classify --poly x^8+x^5+x^3+1 --prime 13",
+         ("bf685ebab4fd876d715d584ca96e4a7e48b6acc6ab05f7dd6297f31430f89f17",
+          "1f1008ae56e41eb3f3acd381e87fd09fc680ad8775419a887ee1a904916f4802",
+          "314118b1473b989520473992feef87339045582dff77303a06774f42e079f2b0")),
+        ("classify --poly 3x+6 --prime 3",
+         ("8fed0e740ac29764e851d50cb3cefefcf011d1998bdc51cc5b55471a9a6e84e4",
+          "7bf364d364fed9607458aed68348f8c865b778f9a82e318df591fe9b15185d98",
+          "22ca5cb2200fb5418ea48fefc4d4d1d7dec157fe9d78b40b30a0d600e9875195")),
+        ("valuation --poly x^5+2x^3+3 --prime 3 --n 100000",
+         ("148934a196b6d8a6ab9151328f18e553146296d3af6409f8f533bbb22027fa1a",
+          "31db5ea38ad347f90da81fa91b51902d268dda52954ab38a629ede665d67f6d8",
+          "d129cea39c1010ca6a39a2d27055ba48c2f419d0b07910e57bb5669f91d851ab")),
+        ("slope --poly x^5+2x^3+3 --prime 29 --n 100",
+         ("9156350794ebb9262a9378d47af4570a7cd165eceb2bfeecc9afcad872c47872",
+          "d057f02de4a9529fe568a309cce4f522e135dbeb9e3f3d2c9b8da272fc406a83",
+          "fb9eb8672077292778f37be34b457a3d27aca5114e494005f6dc9a8d9f280b54")),
+        ("lift --poly x^2+1 --prime 5 --root 2 --precision 300",
+         ("b4eec62588027598770047a27c02c730ad5e4db811eb6525ac22dbcf63367172",
+          "16b4ba7bec6c73b0cea619ff8e3f91c8095a0bbd8694c65298a8a5a2bcb656e4",
+          "35ce8f6396b7ca2dabda39470f164ac0e158e5b7495b6ce0015750d3203ba60a")),
+    ])
+    def test_every_format(self, capsys, argv, digests):
+        # taken from the output of each command's own csv, json and table code
+        for fmt, digest in zip(("csv", "json", "table"), digests):
+            code, out, _ = run(capsys, *argv.split(), "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+    def test_json_is_json_dumps(self, capsys):
+        for argv in ("roots --poly x^3+1 --prime 7", "classify --poly x^8+x^5+x^3+1 --prime 13",
+                     "slope --poly x^5+2x^3+3 --prime 3 --n 10", "errors --poly x --prime 2 --n-max 5",
+                     "scan --poly x^2+1 --count 300"):
+            _, out, _ = run(capsys, *argv.split(), "--format", "json")
+            assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
 
 class TestUsageErrors:

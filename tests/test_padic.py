@@ -1,4 +1,6 @@
+import json
 import math
+import pickle
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicval import padic
+from padicval.cli import main
 from padicval.errors import (
     NotARootError,
     NotSimpleRootError,
@@ -149,6 +152,12 @@ class TestPrime:
         assert ps[-1].value == 48611
         assert [p.value for p in ps] == [p for p in range(48612) if is_prime(p)]
         assert ps[:3] == [Prime(2), Prime(3), Prime(5)]
+
+    def test_pickles_and_has_no_dict(self):
+        # the --workers pool pickles every Prime it sends; a scan holds thousands
+        for p in (Prime(48611), primes_first(3)[-1]):
+            assert pickle.loads(pickle.dumps(p)) == p
+            assert not hasattr(p, "__dict__")
 
 
 class TestIntValuation:
@@ -350,15 +359,17 @@ class TestClassifyPrime:
             assert a.verdict == b.verdict
             assert a.roots == b.roots
 
-    def test_serialization(self):
-        payload = classify_prime(Q1, P5).to_json()
+    def test_serialization(self, capsys):
+        assert main(["classify", "--poly", "x^5+2x^3+3", "--prime", "5", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload == {"p": 5, "verdict": "hensel", "roots": [3, 4], "non_hensel_roots": []}
 
-    def test_all_residues(self):
+    def test_all_residues(self, capsys):
         cls = classify_prime(IntPolynomial([6, 3]), P3)
         assert (cls.verdict, cls.roots, cls.non_hensel_roots) == (Verdict.ALL_RESIDUES, (), ())
         assert cls.z_p == 3 and not cls.all_roots_simple
-        assert cls.to_json() == {"p": 3, "verdict": "all_residues"}
+        assert main(["classify", "--poly", "3x+6", "--prime", "3", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"p": 3, "verdict": "all_residues"}
 
 
 class TestHenselLift:
@@ -410,6 +421,37 @@ class TestHenselLift:
         root = hensel_lift(q, p, a, k)
         assert list(root.truncations()) == [root.truncation_value(s) for s in range(k + 1)]
 
-    def test_serialization(self):
-        root = hensel_lift(IntPolynomial([1, 0, 1]), P5, 2, 2)
-        assert root.to_json() == {"p": 5, "digits": [2, 1, 2]}
+    def test_serialization(self, capsys):
+        assert main(["lift", "--poly", "x^2+1", "--prime", "5", "--root", "2", "--precision", "2",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload.pop("value") == 57  # the CLI adds the truncation value
+        assert payload == {"p": 5, "digits": [2, 1, 2]}
+
+    @pytest.mark.parametrize("q, p, a, k", [(Q1, P5, 3, 40), (IntPolynomial([1, 0, 1]), P5, 2, 400),
+                                            (IntPolynomial([-3, 1]), P2, 1, 25),
+                                            (IntPolynomial([5, 2, 0, 1]), P7, 4, 64)])
+    def test_digits_are_the_digit_by_digit_lift(self, q, p, a, k):
+        # the reference is one Hensel digit per step, each from q at the root mod p^s
+        dinv = pow(q.derivative().evaluate_mod(a, p.value), -1, p.value)
+        digits, gamma, ps = [a], a, p.value
+        for _ in range(k):
+            digits.append(padic.hensel_digit(q, p.value, gamma, ps, dinv))
+            gamma += digits[-1] * ps
+            ps *= p.value
+        assert hensel_lift(q, p, a, k).digits == tuple(digits)
+
+    def test_precision_doubles_per_evaluation(self, monkeypatch):
+        calls = 0
+        evaluate_mod = IntPolynomial.evaluate_mod
+
+        def counted(self, x, m):
+            nonlocal calls
+            calls += 1
+            return evaluate_mod(self, x, m)
+
+        monkeypatch.setattr(IntPolynomial, "evaluate_mod", counted)
+        k = 6150
+        root = hensel_lift(IntPolynomial([1, 0, 1]), P5, 2, k)
+        assert calls <= 2 * math.ceil(math.log2(k + 1)) + 4  # one per digit would be 6152
+        assert (root.truncation_value(k) ** 2 + 1) % 5 ** (k + 1) == 0
