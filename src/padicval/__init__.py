@@ -21,7 +21,6 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .padic import (
-    HenselRoot,
     Prime,
     PrimeClassification,
     Verdict,

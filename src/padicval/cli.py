@@ -16,7 +16,8 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat
+from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import analysis, padic, recurrence, reproduce
@@ -223,17 +224,21 @@ def max_lift_precision(pv: int, digits: int) -> int:
 
 
 def _cmd_lift(args) -> Answer:
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if digits and args.precision > (limit := max_lift_precision(args.prime.value, digits)):
-        _parser().error(f"argument --precision: must be <= {limit} at p = {args.prime}, "
-                        f"so that p^(k+1) stays within {digits} decimal digits")
-    root = padic.hensel_lift(args.poly, args.prime, args.root, args.precision)
-    value = root.truncation_value(root.precision - 1)
-    rows = zip(range(root.precision), root.digits, root.truncations())
+    pv, k = args.prime.value, args.precision
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if max_digits and k > (limit := max_lift_precision(pv, max_digits)):
+        _parser().error(f"argument --precision: must be <= {limit} at p = {pv}, "
+                        f"so that p^(k+1) stays within {max_digits} decimal digits")
+    value = x = padic.hensel_lift(args.poly, args.prime, args.root, k)
+    digits = []  # little-endian base p
+    for _ in range(k + 1):
+        x, d = divmod(x, pv)
+        digits.append(d)
+    powers = accumulate(repeat(pv, k), mul, initial=1)  # p^s
+    rows = zip(range(k + 1), digits, accumulate(map(mul, digits, powers)))  # truncation: value mod p^(s+1)
     blocks = iter(lambda: list(zip(*islice(rows, 64))), [])  # a truncation may have 4300 digits
-    return Answer({"p": args.prime.value, "digits": list(root.digits), "value": value},
-                  ["s", "digit", "truncation"], blocks,
-                  f"digits={','.join(map(str, root.digits))} value={value}\n")
+    return Answer({"p": pv, "digits": digits, "value": value}, ["s", "digit", "truncation"], blocks,
+                  f"digits={','.join(map(str, digits))} value={value}\n")
 
 
 def _make_spec(args) -> recurrence.RecurrenceSpec:
@@ -317,7 +322,12 @@ def main(argv=None) -> int:
             answer, code = _DISPATCH[args.command](args), 0
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
             _write(out, args.format, answer)
-    except (PadicValError, OSError) as e:
+    except (PadicValError, OSError, ValueError) as e:
+        if isinstance(e, ValueError):  # a domain error only past Python's int-to-str limit
+            if "integer string conversion" not in str(e):
+                raise
+            e = (f"an integer in the answer has more than {sys.get_int_max_str_digits()} digits, "
+                 "Python's limit for printing one; PYTHONINTMAXSTRDIGITS=0 lifts the limit")
         print(f"error: {e}", file=sys.stderr)
         return 1
     return code

@@ -11,10 +11,8 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 from operator import mul
-from typing import Iterator
 
 from .errors import (
     NotARootError,
@@ -245,12 +243,6 @@ def _gf_divide(r: list[int], b: list[int], p: int) -> int:
     return d
 
 
-def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    r = list(a)
-    d = _gf_divide(r, b, p)
-    return _gf_trim(r[d:]), _gf_trim(r[:d])
-
-
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd of a and b, by Euclid's algorithm on copies of them."""
     a, b = list(a), list(b)
@@ -370,7 +362,8 @@ def _gf_linear_roots(g: list[int], p: int, a: int, w: list[int] | None) -> list[
     is split by gcd(h, (x + a)^((p-1)/2) - 1) (Cantor-Zassenhaus).  The
     first split takes w = (x + a)^((p-1)/2) mod a multiple of g, and each
     later one the next shift a + 1, a + 2, ... mod p.  Some shift in every
-    p consecutive ones separates any two roots, so the loop ends.
+    p consecutive ones separates any two roots, so the loop ends.  A split
+    factor is divided in place, g too.
     """
     roots: list[int] = []
     stack = [g]
@@ -391,7 +384,8 @@ def _gf_linear_roots(g: list[int], p: int, a: int, w: list[int] | None) -> list[
         d1 = _gf_gcd(h, _gf_trim(w), p)
         w = None
         if 0 < len(d1) - 1 < d:
-            stack += [d1, _gf_divmod(h, d1, p)[0]]
+            del h[: _gf_divide(h, d1, p)]  # h becomes the cofactor h / d1
+            stack += [d1, h]
         else:
             stack.append(h)
     return roots
@@ -491,55 +485,20 @@ def classify_prime(q: IntPolynomial, p: Prime) -> PrimeClassification:
 # -- Hensel lifting -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HenselRoot:
-    """A p-adic root to finite precision, as little-endian base-p digits.
-
-    digits[0] is the residue mod p; the truncation to s+1 digits is a
-    root of q mod p^(s+1).
-    """
-
-    p: Prime
-    digits: tuple[int, ...]
-
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
-
-    def truncations(self) -> Iterator[int]:
-        """truncation_value(s) for s = 0, 1, ..., one digit added at a time."""
-        acc, ps = 0, 1
-        for d in self.digits:
-            acc += d * ps
-            ps *= self.p.value
-            yield acc
-
-    def truncation_value(self, s: int) -> int:
-        """The integer formed by digits 0..s, in [0, p^(s+1) - 1]."""
-        if not 0 <= s < len(self.digits):
-            raise IndexError(f"truncation index {s} out of range [0, {len(self.digits) - 1}]")
-        return next(islice(self.truncations(), s, None))
-
-
 def hensel_digit(q: IntPolynomial, pv: int, gamma: int, ps: int, dinv: int) -> int:
     """Next base-p digit of a simple root gamma of q mod ps = p^s; dinv = 1/q'(gamma) mod p."""
     return (-(q.evaluate_mod(gamma, ps * pv) // ps) * dinv) % pv
 
 
-def hensel_lift(q: IntPolynomial, p: Prime, a: int, k: int) -> HenselRoot:
-    """Lift a simple root a of q mod p to a root mod p^(k+1), by Newton's iteration."""
+def hensel_lift(q: IntPolynomial, p: Prime, a: int, k: int) -> int:
+    """The root of q mod p^(k+1) in [0, p^(k+1)) above its simple root a mod p, by Newton's iteration."""
     pv = p.value
     a %= pv
     if q.evaluate_mod(a, pv) != 0:
         raise NotARootError(f"{a} is not a root of {q} mod {pv}")
     if q.derivative().evaluate_mod(a, pv) == 0:
         raise NotSimpleRootError(f"derivative vanishes at {a} mod {pv}")
-    x = newton_lift(q, a, pv, k + 1)
-    digits = []
-    for _ in range(k + 1):
-        x, digit = divmod(x, pv)
-        digits.append(digit)
-    return HenselRoot(p, tuple(digits))
+    return newton_lift(q, a, pv, k + 1)
 
 
 # -- the p-adic descent ---------------------------------------------------

@@ -41,7 +41,7 @@ class _Scanner:
     def read_uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a digit", start)
@@ -86,7 +86,7 @@ def parse_poly(text: str) -> IntPolynomial:
 
 def _parse_term(s: _Scanner) -> tuple[int, int]:
     c = s.peek()
-    if c.isdigit():
+    if c.isdecimal():
         coef = s.read_uint()
         c = s.peek()
         if c == "*":

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padicval import cli, padic, recurrence, reproduce
@@ -100,6 +100,45 @@ class TestLift:
                            "--root", "2", "--precision", "2")
         assert code == 1
         assert "error:" in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(r=st.integers(-40, 40), cofactor=st.lists(st.integers(-9, 9), max_size=5),
+           lead=st.sampled_from([-3, -1, 1, 2]), p=st.sampled_from([2, 3, 5, 7, 13, 10007]),
+           k=st.integers(0, 80))
+    @example(r=1, cofactor=[], lead=1, p=5, k=3)  # x - 1: the digits of 1 are 1, 0, 0, 0
+    def test_every_format_against_digit_by_digit_lift(self, r, cofactor, lead, p, k):
+        # Q = (x - r) * cofactor has the root a = r mod p; with no cofactor Q = x - r,
+        # whose lift is r itself, so a small r >= 0 has zero top digits
+        q = IntPolynomial([-r, 1]) * IntPolynomial(cofactor + [lead])
+        a = r % p
+        dq_a = sum(i * c * a ** (i - 1) for i, c in enumerate(q.coeffs) if i)
+        assume(dq_a % p)
+
+        def value_at(x):
+            return sum(c * x**i for i, c in enumerate(q.coeffs))
+
+        # reference: one digit per step, d = -(Q(gamma) / p^s) / Q'(a) mod p
+        digits, gamma, ps = [a], a, p
+        for _ in range(k):
+            digits.append(-(value_at(gamma) // ps) * pow(dq_a, -1, p) % p)
+            gamma += digits[-1] * ps
+            ps *= p
+
+        def lift(fmt):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(["lift", f"--poly={format_poly(q)}", "--prime", str(p), "--root", str(a),
+                             "--precision", str(k), "--format", fmt])
+            assert code == 0
+            return out.getvalue()
+
+        payload = json.loads(lift("json"))
+        value = payload["value"]
+        assert payload == {"p": p, "digits": digits, "value": value}
+        assert value == sum(d * p**s for s, d in enumerate(digits))
+        assert lift("csv") == "s,digit,truncation\n" + "".join(
+            f"{s},{d},{value % p ** (s + 1)}\n" for s, d in enumerate(digits))
+        assert lift("table") == f"digits={','.join(map(str, digits))} value={value}\n"
 
 
 class TestValuation:
@@ -447,6 +486,36 @@ class TestGolden:
                      "scan --poly x^2+1 --count 300"):
             _, out, _ = run(capsys, *argv.split(), "--format", "json")
             assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+class TestIntToStrLimit:
+    """An answer past Python's int-to-str limit is a domain error, not a traceback."""
+
+    # v_2 of t_N = (N!)^2 is 2 (N - s_2(N)), which has 641 digits and is prime to N,
+    # so the slope v/N has a 641-digit numerator too
+    N = "9" * 639 + "7"
+
+    @pytest.fixture(autouse=True)
+    def limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the least Python allows
+        yield
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("command, fmt", [("valuation", "table"), ("valuation", "json"),
+                                              ("slope", "table"), ("slope", "json")])
+    def test_exits_1_naming_the_limit(self, capsys, command, fmt):
+        code, out, err = run(capsys, command, "--poly", "x^2", "--prime", "2", "--n", self.N,
+                             "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "640 digits" in err and "PYTHONINTMAXSTRDIGITS" in err
+
+    def test_no_limit_prints_every_digit(self, capsys):
+        sys.set_int_max_str_digits(0)
+        n = int(self.N)
+        code, out, _ = run(capsys, "valuation", "--poly", "x^2", "--prime", "2", "--n", self.N)
+        assert (code, out) == (0, f"{2 * (n - bin(n).count('1'))}\n")
+        assert len(out) == 642
 
 
 class TestUsageErrors:

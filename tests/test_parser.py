@@ -68,3 +68,21 @@ def test_overlong_integer_rejected(text, offset):
 @settings(max_examples=300)
 def test_round_trip(q):
     assert parse_poly(format_poly(q)) == q
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("x^²", "expected a digit", 2),
+    ("²x", "expected an integer or 'x', got '²'", 0),
+    ("x+³", "expected an integer or 'x', got '³'", 2),
+], ids=["exponent", "coefficient", "second_term"])
+def test_superscript_digits_rejected(text, message, offset):
+    # str.isdigit() holds for superscripts, which int() rejects
+    with pytest.raises(ParseError) as e:
+        parse_poly(text)
+    assert (str(e.value), e.value.offset) == (f"{message} (at offset {offset})", offset)
+
+
+@pytest.mark.parametrize("text, coeffs", [("x^１０", [0] * 10 + [1]), ("٣x+1", [1, 3])],
+                         ids=["fullwidth", "arabic_indic"])
+def test_other_decimal_digits_parse(text, coeffs):
+    assert parse_poly(text) == IntPolynomial(coeffs)
