@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Iterator
 
-from .padic import Prime, PrimeClassification, classify_prime, descent_step, primes_first
+from .padic import Prime, PrimeClassification, classify_prime, descent, primes_first
 from .poly import IntPolynomial, integer_poly_gcd, poly_divexact
 from .recurrence import RecurrenceSpec, valuation_blocks, valuation_tn
 
@@ -24,29 +24,21 @@ from .recurrence import RecurrenceSpec, valuation_blocks, valuation_tn
 def exact_slope(q: IntPolynomial, p: Prime) -> Fraction:
     """Exact per-n slope E = lim valuation(t_n)/n, as a fraction.
 
-    The limit of valuation_tn's descent, with densities for window counts:
-    a node at depth d holds 1/p^d of the indices, so its stripped power
-    p^m adds m/p^d and each simple root adds 1/((p-1)p^d).  A factor
-    repeated over Z would make the descent endless, so repeated factors
-    are first peeled off via gcd(Q, Q'); slopes add over any pointwise
-    factorization.  Each peeled piece is squarefree, so its descent ends:
-    an endless residue chain would converge to a p-adic alpha with
-    Q(alpha) = Q'(alpha) = 0.
+    The limit of valuation_tn's walk, with densities for window counts:
+    a node of padic.descent at depth d holds 1/p^d of the indices, so its
+    stripped power p^m adds m/p^d and each simple root adds 1/((p-1)p^d).
+    A factor repeated over Z would make the descent endless, so Q is first
+    peeled into squarefree pieces Q/G, with G = gcd(Q, Q') peeled in turn;
+    slopes add over any pointwise factorization.  The descent of a
+    squarefree piece ends: an endless residue chain would converge to a
+    p-adic alpha with Q(alpha) = Q'(alpha) = 0.
     """
-    pv = p.value
-    total = Fraction(0)
-    stack: list[tuple[IntPolynomial, int]] = [(q, 1)]  # (R, p^d)
-    while stack:
-        r, a = stack.pop()
-        if a == 1:
-            rep = integer_poly_gcd(r, r.derivative())
-            if rep.degree >= 1:
-                stack += [(rep, 1), (poly_divexact(r, rep), 1)]
-                continue
-        m, r, simple, repeated = descent_step(r, p)
-        total += (m + Fraction(len(simple), pv - 1)) / a
-        stack += [(r.affine_substitute(pv, b), a * pv) for b in repeated]
-    return total
+    pieces = []
+    while (rep := integer_poly_gcd(q, q.derivative())).degree >= 1:
+        pieces.append(poly_divexact(q, rep))
+        q = rep
+    nodes = (node for piece in pieces + [q] for node in descent(piece, p))
+    return sum((m + Fraction(len(simple), p.value - 1)) / a for a, _, m, _, simple, _ in nodes)
 
 
 def asymptotic_zero_number(q: IntPolynomial, p: Prime) -> Fraction:

@@ -2,7 +2,7 @@
 
 Integer valuations, base-p digit sums, the factorial-valuation formula,
 roots of a polynomial mod p, Hensel-zero classification, Hensel lifting by
-Newton's iteration, and the node step of the p-adic descent.  Residues
+Newton's iteration, and the nodes of the p-adic descent.  Residues
 are canonicalized to [0, p-1] throughout.
 """
 
@@ -13,6 +13,7 @@ import math
 import struct
 from dataclasses import dataclass
 from operator import mul
+from typing import Iterator
 
 from .errors import (
     NotARootError,
@@ -504,26 +505,27 @@ def hensel_lift(q: IntPolynomial, p: Prime, a: int, k: int) -> int:
 # -- the p-adic descent ---------------------------------------------------
 
 
-def descent_step(
-    r: IntPolynomial, p: Prime
-) -> tuple[int, IntPolynomial, list[tuple[int, int]], list[int]]:
-    """One node of the descent over residue classes: R = p^m * R0.
+def descent(
+    q: IntPolynomial, p: Prime
+) -> Iterator[tuple[int, int, int, IntPolynomial, list[int], list[int]]]:
+    """The nodes of the p-adic descent of q, depth first, as (A, B, m, R, simple, repeated).
 
-    Returns m, R0 (not 0 mod p), its simple roots mod p paired with
-    1/R0'(b) mod p, and its non-simple roots, below which the descent
-    continues with R0(p*k + b).
+    A node is the class i = A*k + B (A = p^depth, 0 <= B < A), where
+    q(A*k + B) is p^m * R(k) times the powers stripped above it and R is
+    not 0 mod p.  Its roots mod p are classify_prime(R, p)'s, split into
+    simple and repeated (non-simple) ones.  When the reader resumes, the
+    descent continues with R(p*k + b) for each root b still in repeated,
+    so a reader prunes a child by removing its root.
     """
     pv = p.value
-    m = min(int_valuation(c, p) for c in r.coeffs if c)
-    if m:
-        r = r.exact_scalar_div(pv**m)
-    dr = r.derivative()
-    simple: list[tuple[int, int]] = []
-    repeated: list[int] = []
-    for b in roots_mod_p(r, p):
-        d = dr.evaluate_mod(b, pv)
-        if d:
-            simple.append((b, pow(d, -1, pv)))
-        else:
-            repeated.append(b)
-    return m, r, simple, repeated
+    stack = [(q, 1, 0)]  # (R, A, B) with 0 <= B < A
+    while stack:
+        r, a, b = stack.pop()
+        m = min(int_valuation(c, p) for c in r.coeffs if c)
+        if m:
+            r = r.exact_scalar_div(pv**m)
+        cls = classify_prime(r, p)
+        repeated = list(cls.non_hensel_roots)
+        simple = [x for x in cls.roots if x not in repeated]
+        yield a, b, m, r, simple, repeated
+        stack += [(r.affine_substitute(pv, x), a * pv, a * x + b) for x in repeated]

@@ -14,7 +14,7 @@ from itertools import accumulate
 from typing import Iterator
 
 from .errors import HasIntegerRootError, NotHenselPrimeError, ValuationOfZeroError, ZeroPolynomialError
-from .padic import Prime, classify_prime, descent_step, hensel_digit, int_valuation
+from .padic import Prime, classify_prime, descent, hensel_digit, int_valuation
 from .poly import IntPolynomial, nonneg_integer_roots
 
 
@@ -70,24 +70,25 @@ def valuation_tn_direct(spec: RecurrenceSpec, p: Prime, n: int) -> int:
 
 def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[int, int, int, int]]:
     """The walk behind valuation_tn, class by class, as (A, B, w, c): each
-    of the c window indices i = B mod A gains w (0 <= B < A)."""
+    of the c window indices i = B mod A gains w (0 <= B < A).
+
+    It reads the nodes of padic.descent: R(k) = Q(A*k + B) / p^c on the k
+    with n0 < A*k + B <= n0 + n, whose stripped power p^m counts once per
+    index of its class.  A simple root is lifted one Hensel digit at a
+    time, each digit counting the indices of its class.  A non-simple root
+    whose class holds at most one window index is removed from the node's
+    repeated roots, so the descent does not go below it, and its index, if
+    any, is evaluated directly.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     pv, lo = p.value, spec.start_index
-    stack = [(spec.poly, 1, 0)]  # (R, A, B) with 0 <= B < A
-    while stack:
-        r, a, b = stack.pop()
-        size = count_congruent(n, b, a, lo)
-        if size <= 1:
-            if size:  # its one index is A*k + B for the first k with A*k + B > n0
-                yield a, b, int_valuation(r.evaluate((lo - b) // a + 1), p), 1
-            continue
-        m, r, simple, repeated = descent_step(r, p)
+    for a, b, m, r, simple, repeated in descent(spec.poly, p):
         if m:
-            yield a, b, m, size
-        stack.extend((r.affine_substitute(pv, root), a * pv, a * root + b) for root in repeated)
-        for gamma, dinv in simple:
-            ps = pv  # gamma is the root mod p^s
+            yield a, b, m, count_congruent(n, b, a, lo)
+        dr = r.derivative()
+        for gamma in simple:
+            dinv, ps = pow(dr.evaluate_mod(gamma, pv), -1, pv), pv  # gamma is the root mod p^s
             while c := count_congruent(n, a * gamma + b, a * ps, lo):
                 if c == 1:  # its one index k = gamma mod p^s gains v_p(R(k)) - s + 1 more
                     k = ((lo - a * gamma - b) // (a * ps) + 1) * ps + gamma
@@ -96,18 +97,20 @@ def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[in
                 yield a * ps, a * gamma + b, 1, c
                 gamma += hensel_digit(r, pv, gamma, ps, dinv) * ps
                 ps *= pv
+        for root in repeated[:]:
+            if (c := count_congruent(n, a * root + b, a * pv, lo)) <= 1:
+                repeated.remove(root)
+                if c:  # its one index is A*k + B for the first k = root mod p past n0
+                    k = ((lo - a * root - b) // (a * pv) + 1) * pv + root
+                    yield a * pv, a * root + b, int_valuation(r.evaluate(k), p), 1
 
 
 def valuation_tn(spec: RecurrenceSpec, p: Prime, n: int) -> int:
-    """Exact valuation at any prime, by an iterative walk over residue classes.
+    """Exact valuation at any prime: the weights of residue_classes, summed.
 
-    A node is R(k) = Q(A*k + B) / p^c on the k with n0 < A*k + B <= n0 + n
-    (A = p^depth).  Its stripped power p^m counts once per index; a simple
-    root of R mod p is lifted one Hensel digit at a time, each digit
-    counting the indices of its class; a non-simple root b becomes the
-    child R(p*k + b).  A node or lifted class of one index is evaluated
-    directly, so the depth stays within log_p(n0 + n) + 1 even for repeated
-    factors, and a zero multiplier raises ValuationOfZeroError.
+    The walk descends only into classes of two or more window indices, so
+    the depth stays within log_p(n0 + n) + 1 even for repeated factors,
+    and a zero multiplier raises ValuationOfZeroError.
     """
     return sum(w * c for _, _, w, c in residue_classes(spec, p, n))
 

@@ -301,6 +301,41 @@ class TestCompositeSlope:
         assert exact_slope(a * b, p) == exact_slope(a, p) + exact_slope(b, p)
 
 
+@st.composite
+def linear_products(draw):
+    """(c, [(a, b), ...], p) for c * prod(a*x + b), a != 0: p <= 47, |a| and
+    |b| up to 3p^2, one factor may be repeated, two may share a root mod p,
+    and p may divide c."""
+    pv = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]))
+    coeff = st.integers(-3 * pv * pv, 3 * pv * pv)
+    factors = draw(st.lists(st.tuples(coeff.filter(bool), coeff), min_size=1, max_size=4))
+    a, b = draw(st.sampled_from(factors))
+    extra = draw(st.sampled_from([[], [(a, b)], [(a, b + a * pv * draw(st.integers(1, 9)))]]))
+    c = draw(coeff.filter(bool)) * pv ** draw(st.integers(0, 3))
+    return c, factors + extra, Prime(pv)
+
+
+class TestLinearProductSlope:
+    """An oracle that does not descend: a linear factor a*x + b is p^m times
+    a*x/p^m + b/p^m, with m = min(v_p(a), v_p(b)) (v_p(a) when b = 0), and
+    that has one simple root mod p when p does not divide a/p^m, none
+    otherwise."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(linear_products())
+    @example((2, [(1, 1), (1, 1)], P2))
+    @example((9, [(3, 0), (1, 2), (1, 5)], P3))
+    def test_against_closed_form(self, case):
+        c, factors, p = case
+        pv = p.value
+        q, expected = IntPolynomial([c]), Fraction(int_valuation(c, p))
+        for a, b in factors:
+            q = q * IntPolynomial([b, a])
+            m = int_valuation(a, p) if b == 0 else min(int_valuation(a, p), int_valuation(b, p))
+            expected += m + Fraction((a // pv**m) % pv != 0, pv - 1)
+        assert exact_slope(q, p) == expected
+
+
 class TestSlopeReport:
     def test_hensel_report(self):
         spec = make_spec(Q1)

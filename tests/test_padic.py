@@ -367,11 +367,16 @@ class TestClassifyPrime:
         assert payload == {"p": 5, "verdict": "hensel", "roots": [3, 4], "non_hensel_roots": []}
 
     def test_all_residues(self, capsys):
-        cls = classify_prime(IntPolynomial([6, 3]), P3)
-        assert (cls.verdict, cls.roots, cls.non_hensel_roots) == (Verdict.ALL_RESIDUES, (), ())
-        assert cls.z_p == 3 and not cls.all_roots_simple
-        assert main(["classify", "--poly", "3x+6", "--prime", "3", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out) == {"p": 3, "verdict": "all_residues"}
+        for q in (IntPolynomial([6, 3]), IntPolynomial()):
+            cls = classify_prime(q, P3)
+            assert (cls.verdict, cls.roots, cls.non_hensel_roots) == (Verdict.ALL_RESIDUES, (), ())
+            assert cls.z_p == 3 and not cls.all_roots_simple
+        for poly in ("3x+6", "0"):
+            assert main(["classify", "--poly", poly, "--prime", "3", "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out) == {"p": 3, "verdict": "all_residues"}
+        assert main(["scan", "--poly", "0", "--count", "3", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == [
+            {"p": pv, "verdict": "all_residues"} for pv in (2, 3, 5)]
 
 
 def base_p_digits(x, p, n):

@@ -31,6 +31,8 @@ from padicval.recurrence import (
 X = IntPolynomial([0, 1])
 OMEGA = IntPolynomial([1, 0, 1])  # x^2+1
 Q1 = IntPolynomial([3, 0, 0, 2, 0, 1])
+Q3 = IntPolynomial([1, 0, 0, 1, 0, 1, 0, 0, 1])  # x^8+x^5+x^3+1 = (x+1)^2 (x^2-x+1)(x^4-x^3+x^2-x+1)
+SQUARE = IntPolynomial([1, 2, 1])  # (x+1)^2
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
 
@@ -226,6 +228,52 @@ class TestTree:
     def test_paper_non_hensel_primes(self, pv):
         spec = make_spec(Q1)
         assert valuation_tn(spec, Prime(pv), 3000) == valuation_tn_direct(spec, Prime(pv), 3000)
+
+
+def floor_log(x, pv):
+    """The largest e with pv^e <= x, for x >= 1."""
+    e = 0
+    while pv ** (e + 1) <= x:
+        e += 1
+    return e
+
+
+class TestDepthBound:
+    """The walk goes at most floor(log_p(n0 + n)) + 1 levels down a non-simple chain.
+
+    Each case has one non-simple chain, along the p-adic root -1, whose
+    digits are all p - 1; so the affine_substitute calls count its levels.
+    The spy raises once past the bound, so a walk that stops pruning fails
+    instead of running on."""
+
+    @pytest.mark.parametrize("q, pv", [
+        (SQUARE, 2), (SQUARE, 3), (SQUARE, 5), (Q3, 2), (Q3, 3),
+    ])
+    @pytest.mark.parametrize("n0, n", [(0, 1), (0, 2), (0, 1000), (0, 2**20), (12345, 2**20)])
+    def test_substitutions_per_chain(self, q, pv, n0, n, monkeypatch):
+        bound = floor_log(n0 + n, pv) + 1
+        substitute, calls = IntPolynomial.affine_substitute, []
+
+        def spy(self, a, b):
+            assert (a, b) == (pv, pv - 1)
+            calls.append(b)
+            if len(calls) > bound:
+                raise AssertionError(f"{len(calls)} substitutions, past the bound {bound}")
+            return substitute(self, a, b)
+
+        monkeypatch.setattr(IntPolynomial, "affine_substitute", spy)
+        valuation_tn(RecurrenceSpec(q, n0), Prime(pv), n)
+        assert len(calls) <= bound
+
+    def test_square_at_two(self, monkeypatch):
+        # (x+1)^2 at p = 2 over n = 2^20: 19 levels, each a class of two or more indices
+        substitute, calls = IntPolynomial.affine_substitute, []
+        monkeypatch.setattr(IntPolynomial, "affine_substitute",
+                            lambda self, a, b: calls.append(b) or substitute(self, a, b))
+        spec = make_spec(SQUARE)
+        n = 2**20
+        assert valuation_tn(spec, P2, n) == 2 * (n + 1 - digit_sum(n + 1, P2))
+        assert len(calls) == 19
 
 
 class TestBlocks:
