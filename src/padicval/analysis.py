@@ -10,10 +10,9 @@ descend again.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Iterator
 
 from .padic import Prime, PrimeClassification, classify_prime, descent, primes_first
@@ -64,30 +63,10 @@ def error_series(spec: RecurrenceSpec, p: Prime, n_max: int, z_p: int
         yield errs, relerr
 
 
-SCAN_WINDOW = 1024  # primes submitted to the pool at once: 16 chunks of 64
-
-
-def scan_primes(q: IntPolynomial, count: int, workers: int = 1
-                ) -> Iterator[tuple[Prime, PrimeClassification]]:
-    """Classify q at each of the first `count` primes, yielding each in prime order.
-
-    With workers > 1 the classifications run in a process pool of at most
-    one process per CPU and per prime, SCAN_WINDOW primes at a time, so at
-    most one window of answers waits to be yielded; output is identical to
-    the sequential run.
-    """
-    primes = primes_first(count)
-    workers = min(workers, os.cpu_count() or 1, len(primes))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for s in range(0, len(primes), SCAN_WINDOW):
-                window = primes[s : s + SCAN_WINDOW]
-                yield from zip(window, pool.map(classify_prime, repeat(q), window, chunksize=64))
-    else:
-        for p in primes:
-            yield p, classify_prime(q, p)
+def scan_primes(q: IntPolynomial, count: int) -> Iterator[tuple[Prime, PrimeClassification]]:
+    """Classify q at each of the first `count` primes, yielding each in prime order."""
+    for p in primes_first(count):
+        yield p, classify_prime(q, p)
 
 
 @dataclass(frozen=True)

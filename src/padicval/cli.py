@@ -169,12 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("scan", help="classify Q at the first N primes")
     _add_common(s, prime=False)
     s.add_argument("--count", type=_positive_int, required=True)
-    s.add_argument("--workers", type=_positive_int, default=1)
 
     s = sp.add_parser("reproduce", help="recompute the worked-example claims")
     s.add_argument("selector", choices=sorted(reproduce.SELECTORS) + ["all"])
     s.add_argument("--scan-count", type=_positive_int, default=5000)
-    s.add_argument("--workers", type=_positive_int, default=1)
     s.add_argument("--out", metavar="PATH")
     s.set_defaults(format="table")
 
@@ -285,7 +283,7 @@ def _cmd_errors(args) -> Answer:
 
 def _cmd_scan(args) -> Answer:
     def windows(encode: Callable) -> Iterator[list]:
-        results = (encode(c) for _, c in analysis.scan_primes(args.poly, args.count, workers=args.workers))
+        results = (encode(c) for _, c in analysis.scan_primes(args.poly, args.count))
         return iter(lambda: list(islice(results, 256)), [])
 
     encoded = functools.partial(windows, lambda c: json.dumps(_classification_json(c), sort_keys=True))
@@ -294,7 +292,7 @@ def _cmd_scan(args) -> Answer:
 
 
 def _cmd_reproduce(args) -> tuple[Answer, int]:
-    claims = reproduce.run(args.selector, scan_count=args.scan_count, workers=args.workers)
+    claims = reproduce.run(args.selector, scan_count=args.scan_count)
     passed = sum(ok for _, ok in claims)
     lines = [("PASS " if ok else "FAIL ") + name for name, ok in claims]
     lines.append(f"{passed}/{len(claims)} claims pass")

@@ -1,6 +1,4 @@
-import concurrent.futures
 import json
-import os
 import random
 from fractions import Fraction
 from itertools import chain
@@ -171,34 +169,6 @@ class TestScanPrimes:
         results = dict((p.value, c) for p, c in scan_primes(q, 3))
         assert results[3].verdict is Verdict.ALL_RESIDUES
         assert results[2].verdict is not Verdict.ALL_RESIDUES
-
-    def test_parallel_matches_sequential(self):
-        seq = list(scan_primes(Q1, 120, workers=1))
-        par = list(scan_primes(Q1, 120, workers=2))
-        assert seq == par
-
-    def test_pool_clamped_to_cpus(self, monkeypatch):
-        # a fake pool records its size and maps in-process: no process starts
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        assert list(scan_primes(Q1, 10, workers=64)) == list(scan_primes(Q1, 10))
-        cpus = os.cpu_count() or 1
-        assert all(size <= cpus for size in sizes)
-        assert sizes == ([min(cpus, 10)] if cpus > 1 else [])
 
 
 class TestClosedForms:

@@ -398,18 +398,15 @@ class TestScan:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("fmt, workers", [("csv", 1), ("json", 1), ("table", 1), ("csv", 2)],
-                             ids=["csv", "json", "table", "csv-workers2"])
-    def test_memory_is_bounded(self, fmt, workers):
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_memory_is_bounded(self, fmt):
         # rows are written as they are classified: no list of 5000 classifications,
-        # rows or output text (4 to 7 MiB when written whole); a pool is handed one
-        # window of primes at a time, so its answers do not wait in 5000 futures
-        main(["scan", "--poly", "x", "--count", "2", "--workers", str(workers),
-              "--out", os.devnull])  # imports what a pool needs before the tracing starts
+        # rows or output text (4 to 7 MiB when written whole)
+        main(["scan", "--poly", "x", "--count", "2", "--out", os.devnull])  # warm the caches
         tracemalloc.start()
         try:
             assert main(["scan", "--poly", "x^8+x^5+x^3+1", "--count", "5000", "--format", fmt,
-                         "--workers", str(workers), "--out", os.devnull]) == 0
+                         "--out", os.devnull]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -436,12 +433,19 @@ class TestReproduce:
         # a claim lost in a rewrite of reproduce changes the count
         counts = {}
         for selector in sorted(reproduce.SELECTORS) + ["all"]:
-            code, out, _ = run(capsys, "reproduce", selector, "--scan-count", "50",
-                               "--workers", "1")
+            code, out, _ = run(capsys, "reproduce", selector, "--scan-count", "50")
             assert code == 0 and "FAIL" not in out, selector
             counts[selector] = len(out.splitlines()) - 1
         assert counts == {"example1": 4, "example2": 9, "example3": 10, "example4": 18,
                           "legendre": 10, "xp_pm1": 10, "all": 61}
+
+    @pytest.mark.parametrize("count, primes", [("5", "{3, 11}"), ("9", "{3, 11}")])
+    def test_short_scan_claims_the_primes_it_reaches(self, capsys, count, primes):
+        # the first 9 primes end at 23, before 29
+        code, out, _ = run(capsys, "reproduce", "example2", "--scan-count", count)
+        assert code == 0
+        assert f"PASS non-Hensel primes among the first {count} are exactly {primes}\n" in out
+        assert out.endswith("9/9 claims pass\n")
 
 
 class TestGolden:
@@ -536,6 +540,15 @@ class TestUsageErrors:
             assert e.value.code == 2
             assert "is not prime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["scan", "--poly", "x", "--count", "3", "--workers", "2"],
+                                      ["reproduce", "example1", "--workers", "1"]])
+    def test_workers_option_is_gone(self, capsys, argv):
+        # scan and reproduce run in one process
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             main([])
@@ -596,8 +609,6 @@ def cli_draws(draw):
         argv[k:k + 1] = draw(st.sampled_from([[], *([junk] for junk in _JUNK)]))
     if command == "reproduce":
         argv.append(f"--scan-count={draw(st.integers(1, 50))}")  # the default 5000 takes seconds
-    if command in ("scan", "reproduce"):
-        argv += ["--workers", "1"]  # never start processes
     return argv
 
 

@@ -154,7 +154,7 @@ class TestPrime:
         assert ps[:3] == [Prime(2), Prime(3), Prime(5)]
 
     def test_pickles_and_has_no_dict(self):
-        # the --workers pool pickles every Prime it sends; a scan holds thousands
+        # a Prime pickles; slots keep small the list of 5000 Primes that a scan holds
         for p in (Prime(48611), primes_first(3)[-1]):
             assert pickle.loads(pickle.dumps(p)) == p
             assert not hasattr(p, "__dict__")
