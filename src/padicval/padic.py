@@ -12,16 +12,20 @@ import enum
 import math
 import struct
 from dataclasses import dataclass
+from itertools import compress, islice
 from operator import mul
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import (
     NotARootError,
     NotSimpleRootError,
+    PadicValError,
     PolynomialVanishesModP,
     ValuationOfZeroError,
 )
-from .poly import IntPolynomial, newton_lift
+
+if TYPE_CHECKING:
+    from .poly import IntPolynomial
 
 # Below the threshold an exhaustive residue scan finds roots; above it we
 # first split off the product of linear factors via gcd with x^p - x.  On
@@ -145,9 +149,6 @@ class Prime:
         object.__setattr__(self, "value", value)
         return self
 
-    def __int__(self) -> int:
-        return self.value
-
     def __str__(self) -> str:
         return str(self.value)
 
@@ -156,21 +157,23 @@ def primes_first(count: int) -> list[Prime]:
     """The first `count` primes, by sieve."""
     if count <= 0:
         return []
-    # overshoot bound: p_k < k (ln k + ln ln k) for k >= 6
+    # p_k < k (ln k + ln ln k) for k >= 6 (Rosser and Schoenfeld, Illinois J.
+    # Math. 6, 1962), so one sieve to this limit holds `count` primes
     if count < 6:
         limit = 15
     else:
         limit = int(count * (math.log(count) + math.log(math.log(count)))) + 10
-    while True:
+    try:
         sieve = bytearray([1]) * (limit + 1)
-        sieve[0:2] = b"\x00\x00"
-        for i in range(2, int(limit**0.5) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        found = [i for i in range(limit + 1) if sieve[i]]
-        if len(found) >= count:
-            return [Prime._proven(p) for p in found[:count]]
-        limit *= 2
+    except (OverflowError, MemoryError):
+        raise PadicValError(
+            f"cannot list the first {count} primes: their sieve of {limit + 1} bytes does not fit in memory"
+        ) from None
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    return [Prime._proven(i) for i in islice(compress(range(limit + 1), sieve), count)]
 
 
 # -- valuations -----------------------------------------------------------
@@ -500,6 +503,18 @@ def hensel_lift(q: IntPolynomial, p: Prime, a: int, k: int) -> int:
     if q.derivative().evaluate_mod(a, pv) == 0:
         raise NotSimpleRootError(f"derivative vanishes at {a} mod {pv}")
     return newton_lift(q, a, pv, k + 1)
+
+
+def newton_lift(q: IntPolynomial, x: int, p: int, e: int) -> int:
+    """The root of q mod p^e in [0, p^e) above x, a simple root of q mod the prime p.
+
+    Newton's iteration from the root mod p^ceil(e/2): about log2(e) steps,
+    each evaluating q and q' once.
+    """
+    if e <= 1:
+        return x
+    x, m = newton_lift(q, x, p, (e + 1) // 2), p**e
+    return (x - q.evaluate_mod(x, m) * pow(q.derivative().evaluate_mod(x, m), -1, m)) % m
 
 
 # -- the p-adic descent ---------------------------------------------------

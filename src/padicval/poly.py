@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from math import gcd, isqrt
-from typing import Iterable, Iterator
+from math import gcd
+from typing import Iterable
 
 from .errors import ZeroPolynomialError
+from .padic import Prime, classify_prime, is_prime, newton_lift
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,6 @@ class IntPolynomial:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
-
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -61,9 +59,6 @@ class IntPolynomial:
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPolynomial(self[i] - other[i] for i in range(n))
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self.coeffs)
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
@@ -229,21 +224,15 @@ def poly_divexact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 _SQUAREFREE_FROM = 11
 
 
-def _primes() -> Iterator[int]:
-    """2, 3, 5, ... without end, by trial division."""
-    for n in count(2):
-        if all(n % d for d in range(2, isqrt(n) + 1)):
-            yield n
-
-
 def nonneg_integer_roots(q: IntPolynomial) -> set[int]:
     """Exact set of roots of q in the nonnegative integers.
 
     Nothing is factored.  A positive root r is at most the Cauchy bound B
     and reduces mod a prime l to a root of q mod l.  At the first l where
-    every root mod l is simple, each root mod l lifts uniquely (Newton's
-    method) to a root mod some l^k > B, so r is one of these lifts.  Such
-    an l exists once q is squarefree: any l not dividing its discriminant.
+    classify_prime finds every root mod l simple, each root mod l lifts
+    uniquely (Newton's method) to a root mod some l^k > B, so r is one of
+    these lifts.  Such an l exists once q is squarefree: any l not
+    dividing its discriminant.
     """
     if q.is_zero:
         raise ZeroPolynomialError("zero polynomial vanishes everywhere")
@@ -256,29 +245,16 @@ def nonneg_integer_roots(q: IntPolynomial) -> set[int]:
     if min(r.coeffs) >= 0 or max(r.coeffs) <= 0:  # no sign change: no positive root
         return roots
     bound = 1 + max(abs(c) for c in r.coeffs[:-1]) // abs(r.leading)
-    dr = r.derivative()
-    for ell in _primes():
-        if ell == _SQUAREFREE_FROM:
-            r = poly_divexact(r, integer_poly_gcd(r, dr))
-            dr = r.derivative()
-        residues = [b for b in range(ell) if r.evaluate_mod(b, ell) == 0]
-        if all(dr.evaluate_mod(b, ell) for b in residues):
+    for ell in map(Prime, filter(is_prime, count(2))):
+        if ell.value == _SQUAREFREE_FROM:
+            r = poly_divexact(r, integer_poly_gcd(r, r.derivative()))
+        cls = classify_prime(r, ell)
+        if cls.all_roots_simple:
             break
-    e = bound.bit_length() // (ell.bit_length() - 1) + 1  # ell^e > 2^bitlength(bound) > bound
-    for x in residues:
-        x = newton_lift(r, x, ell, e)
+    pv = ell.value
+    e = bound.bit_length() // (pv.bit_length() - 1) + 1  # pv^e > 2^bitlength(bound) > bound
+    for x in cls.roots:
+        x = newton_lift(r, x, pv, e)
         if 0 < x <= bound and r.evaluate(x) == 0:
             roots.add(x)
     return roots
-
-
-def newton_lift(q: IntPolynomial, x: int, p: int, e: int) -> int:
-    """The root of q mod p^e in [0, p^e) above x, a simple root of q mod the prime p.
-
-    Newton's iteration from the root mod p^ceil(e/2): about log2(e) steps,
-    each evaluating q and q' once.
-    """
-    if e <= 1:
-        return x
-    x, m = newton_lift(q, x, p, (e + 1) // 2), p**e
-    return (x - q.evaluate_mod(x, m) * pow(q.derivative().evaluate_mod(x, m), -1, m)) % m

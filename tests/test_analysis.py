@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +19,7 @@ from padicval.analysis import (
 from padicval.cli import main
 from padicval.errors import NotHenselPrimeError
 from padicval.padic import Prime, Verdict, classify_prime, digit_sum, int_valuation, roots_mod_p
-from padicval.poly import IntPolynomial
+from padicval.poly import IntPolynomial, integer_poly_gcd
 from padicval.recurrence import make_spec, valuation_tn_fast
 
 X = IntPolynomial([0, 1])
@@ -304,6 +304,91 @@ class TestLinearProductSlope:
             m = int_valuation(a, p) if b == 0 else min(int_valuation(a, p), int_valuation(b, p))
             expected += m + Fraction((a // pv**m) % pv != 0, pv - 1)
         assert exact_slope(q, p) == expected
+
+
+def root_count_slope(coeffs, p, cap):
+    """E = sum over k >= 1 of N_k/p^k, N_k = #{x mod p^k : p^k | Q(x)}, for squarefree Q.
+
+    N_k/p^k is the density of the indices i with p^k | Q(i).  Each root mod
+    p^k is lifted by trying its p next digits, with Q(x) computed exactly.
+    Once every root x mod p^K has K > 2 v_p(Q'(x)), Hensel's lemma (strong
+    form) gives N_k = N_K for every k >= K, so the tail is N_K/(p^K (p-1)).
+    None once more than cap roots are held.  Uses nothing from padicval.
+    """
+    def at(cs, x):
+        acc = 0
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    def val(n):
+        if n == 0:
+            return inf
+        v = 0
+        while n % p == 0:
+            n, v = n // p, v + 1
+        return v
+
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    roots, k, total = [0], 0, Fraction(0)  # the one root mod p^0
+    while len(roots) <= cap:
+        pk = p**k
+        roots = [y for x in roots for y in range(x, x + p * pk, pk) if at(coeffs, y) % (pk * p) == 0]
+        k += 1
+        total += Fraction(len(roots), p**k)
+        if all(k > 2 * val(at(deriv, x)) for x in roots):
+            return total + Fraction(len(roots), p**k * (p - 1))
+    return None
+
+
+class TestRootCountSlope:
+    """exact_slope against root counts mod p^k, which reach factors of any degree."""
+
+    PRIMES = (2, 3, 5, 7, 11)
+    CAP = 20000  # roots held mod p^k; a draw past it is skipped
+
+    def _skipped(self, draws):
+        skipped = 0
+        for q, pv in draws:
+            expected = root_count_slope(list(q.coeffs), pv, self.CAP)
+            if expected is None:
+                skipped += 1
+            else:
+                assert exact_slope(q, Prime(pv)) == expected, (q, pv)
+        return skipped
+
+    @staticmethod
+    def _squarefree(q):
+        return q.degree >= 1 and integer_poly_gcd(q, q.derivative()).degree == 0
+
+    def test_random_squarefree(self):
+        rng = random.Random(1991)
+        draws = []
+        while len(draws) < 300:
+            q = IntPolynomial([rng.randint(-30, 30) for _ in range(rng.randint(2, 7))])
+            if self._squarefree(q):
+                if rng.random() < 0.3:
+                    q = q * rng.choice((2, 3, 4, 9, 25))
+                draws.append((q, rng.choice(self.PRIMES)))
+        assert self._skipped(draws) <= 3
+
+    def test_deep_descent(self):
+        # (x-a)^2 - p^j u, and two pairs of roots p^j apart at distinct residues
+        # times a quadratic: non-simple roots mod p whose descent runs j or more
+        # levels deep, two of them at one node
+        rng = random.Random(1962)
+        draws = []
+        while len(draws) < 100:
+            pv, j, a, u = rng.choice(self.PRIMES), rng.randint(1, 3), rng.randint(-20, 20), rng.randint(1, 30)
+            q = IntPolynomial([a * a - pv**j * u, -2 * a, 1])
+            b, w = rng.randint(-20, 20), rng.randint(-30, 30)
+            if (a - b) % pv and rng.random() < 0.5:
+                q = (IntPolynomial([-a, 1]) * IntPolynomial([-a - pv**j * u, 1])
+                     * IntPolynomial([-b, 1]) * IntPolynomial([-b - pv**j * w, 1])
+                     * IntPolynomial([rng.randint(-9, 9), rng.randint(-9, 9), 1]))
+            if self._squarefree(q):
+                draws.append((q, pv))
+        assert self._skipped(draws) <= 3
 
 
 class TestSlopeReport:

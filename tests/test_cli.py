@@ -412,6 +412,17 @@ class TestScan:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
 
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--poly", "x", "--count", str(10**20)),
+        ("reproduce", "example2", "--scan-count", str(10**20)),
+    ])
+    def test_huge_count_is_domain_error(self, capsys, argv):
+        # the sieve's size does not fit in an index, so nothing is allocated
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(10**20) in err and "Traceback" not in err
+
     def test_deterministic(self, capsys):
         a = run(capsys, "scan", "--poly", "x^5+2x^3+3", "--count", "50", "--format", "json")
         b = run(capsys, "scan", "--poly", "x^5+2x^3+3", "--count", "50", "--format", "json")

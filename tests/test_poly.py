@@ -140,6 +140,12 @@ class TestNonnegIntegerRoots:
 
     def test_constructed(self):
         assert nonneg_integer_roots(IntPolynomial([10, -7, 1])) == {2, 5}
+        # 2, 3, 5 and 7 divide every coefficient, so every residue is a root there
+        assert nonneg_integer_roots(210 * IntPolynomial([-7, 1]) * IntPolynomial([-12, 1])) == {7, 12}
+        # the roots agree mod every prime below 64: the first all-simple prime is 67,
+        # above SCAN_THRESHOLD, so its roots come from the gcd path
+        P = math.prod(p for p in range(2, 64) if all(p % d for d in range(2, p)))
+        assert nonneg_integer_roots(IntPolynomial([-1, 1]) * IntPolynomial([-1 - P, 1])) == {1, 1 + P}
 
     def test_example1(self):
         assert nonneg_integer_roots(Q1) == set()
