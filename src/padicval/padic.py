@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import mul
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import (
     NotARootError,
@@ -256,71 +255,76 @@ def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return _gf_monic(a, p) if a else a
 
 
+def _slot_reduction(n: int, p: int) -> tuple[int, Callable[[int], int]]:
+    """Slot width w (whole bytes) and Barrett's reduction mod p of every slot of an n-slot int.
+
+    A slot holds y < 6n*p^2 < 2^k; with mu = 2^k // p, y*mu < 2^w, so one
+    product x*mu holds every y*mu with no carry between slots, and the low
+    w - k bits of each slot of (x*mu) >> k are Barrett's quotient
+    floor(y*mu / 2^k), at most y/p and above y/p - 2.  Subtracting p times
+    each leaves every slot congruent to y mod p, in [0, 2p).
+    """
+    k = (6 * n * p * p).bit_length()
+    mu = (1 << k) // p
+    w = -(-(k + mu.bit_length()) // 8) * 8
+    qmask = ((1 << (w * n)) - 1) // ((1 << w) - 1) * ((1 << (w - k)) - 1)
+
+    def reduce(x: int) -> int:
+        return x - p * (((x * mu) >> k) & qmask)
+
+    return w, reduce
+
+
 def _gf_powmod(a: int, e: int, f: list[int], p: int) -> tuple[list[int], list[int]]:
     """(x + a)^e and (x + a)^(e >> 1) mod monic f of degree n, for 0 <= a < p.
 
     Left-to-right square and multiply: the value before the last step is
     the half power, so (x + a)^p comes with (x + a)^((p-1)/2).
     Kronecker substitution: a residue is one int with coefficient i in slot
-    i, so a polynomial product is one int product.  A slot is the fewest
-    64-bit limbs that hold 2*n^2*p^3, so no slot ever carries:
-    - a square has slots below n*p^2, and times x + a below n*p^3;
-    - its slots at k >= n, reduced mod p, are h; the quotient by f is
-      q = (h*v) div x^(n-1) with v = x^(2n-1) div f (Barrett), its slots
-      below n*p^2;
+    i, so a polynomial product is one int product.  Between products every
+    coefficient is reduced to [0, 2p) (_slot_reduction), so no slot reaches
+    6n*p^2 and none ever carries:
+    - a square has slots below n*(2p)^2 = 4n*p^2;
+    - its slots at i >= n, reduced, are h; the quotient by f is q = (h*v)
+      div x^(n-1) with v = x^(2n-1) div f (Barrett), its slots below
+      n*2p*p = 2n*p^2 before they too are reduced;
     - the remainder is the low n slots plus q*g with g = x^n mod f, below
-      n*p^3 + n^2*p^3.
-    So a step is two passes of one % p per slot.  A struct of 64-bit limbs
-    converts a residue to and from one-limb slots in one call; wider slots
-    go through byte slices.
+      4n*p^2 + n*2p*p = 6n*p^2;
+    - times x + a, slots are below 2p + a*2p <= 2p^2, and the top one, below
+      2p, folds in as that multiple of g: below 2p^2 + 2p*p = 4p^2.
+    Only the final unpack takes an exact % p per coefficient.
     """
     n = len(f) - 1
-    k = -(-(2 * n * n * p**3).bit_length() // 64)  # limbs per slot
-    w = 64 * k
-    if k == 1:
-        limbs = struct.Struct(f"<{n}Q")
+    w, reduce = _slot_reduction(n, p)
+    b = w // 8
 
-        def unpack(x: int) -> list[int]:
-            return list(limbs.unpack(x.to_bytes(8 * n, "little")))
+    def pack(c: list[int]) -> int:
+        return int.from_bytes(b"".join([y.to_bytes(b, "little") for y in c]), "little")
 
-        def pack(c: list[int]) -> int:
-            return int.from_bytes(limbs.pack(*c), "little")
+    def unpack(x: int) -> list[int]:
+        s = x.to_bytes(b * n, "little")
+        return _gf_trim([int.from_bytes(s[i : i + b], "little") % p for i in range(0, b * n, b)])
 
-        def reduce(x: int) -> int:
-            c = limbs.unpack(x.to_bytes(8 * n, "little"))
-            return int.from_bytes(limbs.pack(*[y % p for y in c]), "little")
-
-    else:
-
-        def unpack(x: int) -> list[int]:
-            b = x.to_bytes(8 * k * n, "little")
-            return [int.from_bytes(b[i : i + 8 * k], "little") for i in range(0, 8 * k * n, 8 * k)]
-
-        def pack(c: list[int]) -> int:
-            return int.from_bytes(b"".join([y.to_bytes(8 * k, "little") for y in c]), "little")
-
-        def reduce(x: int) -> int:
-            return pack([y % p for y in unpack(x)])
-
-    # v = x^(2n-1) div f reversed is the power series 1/rev(f) mod x^n
+    # v = x^(2n-1) div f is 1/rev(f) mod x^n reversed: each new series term goes in front
     r = f[-2::-1]
     s = [1]
-    for i in range(1, n):
-        s.append(-sum(map(mul, r[:i], s[::-1])) % p)
-    v = pack(s[::-1])
+    for _ in range(1, n):
+        s.insert(0, -sum(map(mul, r, s)) % p)
+    v = pack(s)
     g = pack([-c % p for c in f[:n]])
     mask = (1 << (w * n)) - 1
     x = half = 1
     for bit in bin(e)[2:]:
         half = x
         x *= x
-        if bit == "1":
-            x = (x << w) + a * x
         h = x >> (w * n)
         if h:
-            x = (x + ((reduce(h) * v) >> (w * (n - 1))) * g) & mask
+            x = (x + reduce((reduce(h) * v) >> (w * (n - 1))) * g) & mask
         x = reduce(x)
-    return _gf_trim(unpack(x)), _gf_trim(unpack(half))
+        if bit == "1":
+            x = (x << w) + a * x
+            x = reduce((x & mask) + (x >> (w * n)) * g)
+    return unpack(x), unpack(half)
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -398,13 +402,6 @@ def _gf_linear_roots(g: list[int], p: int, a: int, w: list[int] | None) -> list[
 # -- roots mod p ----------------------------------------------------------
 
 
-def _reduced_coeffs(q: IntPolynomial, p: int) -> list[int]:
-    c = _gf_trim([x % p for x in q.coeffs])
-    if not c:
-        raise PolynomialVanishesModP(p)
-    return c
-
-
 def roots_mod_p(q: IntPolynomial, p: Prime) -> list[int]:
     """Sorted residues b in [0, p-1] with q(b) = 0 mod p.
 
@@ -415,7 +412,9 @@ def roots_mod_p(q: IntPolynomial, p: Prime) -> list[int]:
     through (x + a)^((p-1)/2), which gives the first split for free.
     """
     pv = p.value
-    f = _reduced_coeffs(q, pv)
+    f = _gf_trim([c % pv for c in q.coeffs])
+    if not f:
+        raise PolynomialVanishesModP(pv)
     if len(f) == 1:
         return []  # nonzero constant mod p
     if pv < SCAN_THRESHOLD:
@@ -471,10 +470,9 @@ def classify_prime(q: IntPolynomial, p: Prime) -> PrimeClassification:
     every coefficient, every residue is a root and q' vanishes mod p too;
     that verdict lists no roots.
     """
-    try:
-        roots = roots_mod_p(q, p)
-    except PolynomialVanishesModP:
+    if not any(c % p.value for c in q.coeffs):
         return PrimeClassification(p, Verdict.ALL_RESIDUES, (), ())
+    roots = roots_mod_p(q, p)
     dq = q.derivative()
     bad = tuple(b for b in roots if dq.evaluate_mod(b, p.value) == 0)
     if not roots:

@@ -245,7 +245,7 @@ def nonneg_integer_roots(q: IntPolynomial) -> set[int]:
     if min(r.coeffs) >= 0 or max(r.coeffs) <= 0:  # no sign change: no positive root
         return roots
     bound = 1 + max(abs(c) for c in r.coeffs[:-1]) // abs(r.leading)
-    for ell in map(Prime, filter(is_prime, count(2))):
+    for ell in map(Prime._proven, filter(is_prime, count(2))):
         if ell.value == _SQUAREFREE_FROM:
             r = poly_divexact(r, integer_poly_gcd(r, r.derivative()))
         cls = classify_prime(r, ell)

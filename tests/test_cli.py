@@ -382,6 +382,18 @@ class TestScan:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("poly, digest", [
+        ("x^5+2x^3+3", "0e8a31191b7adc02828016d2cef5879cb6dc5297851ff82e746777239562b6c1"),
+        ("x^8+x^5+x^3+1", "0bc396dc96935e7a4b0267112f1f7c30547513861b33cb614371178e4bff9986"),
+        ("x^12+2x^11+14x^10-6x^8+2x^7+4x^6-8x^5+10x^4+2x^2-4x+6",
+         "fa63894d60e846acea2f09442e13b22b9f7bf756fa0c18d5495eb1c76666a557"),
+    ])
+    def test_golden_csv_to_48611(self, capsys, poly, digest):
+        # the benchmark's whole prime range; taken with the struct-codec powmod kernel
+        code, out, _ = run(capsys, "scan", "--poly", poly, "--count", "5000", "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("poly, fmt, digest", [
         ("x^5+2x^3+3", "json", "63a7ca1011b78e18b3502d66e19e6df25d889596d061be2f9a91b1226dfc7eaf"),
         ("x^5+2x^3+3", "table", "78ded68ac92c23b3fcfe5399323d160b96ce8347c99f1cf90d5281fda852c475"),

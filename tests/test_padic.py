@@ -285,6 +285,23 @@ class TestRootsModP:
                 want = square_and_multiply(p - 1, p, f, p), square_and_multiply(p - 1, p >> 1, f, p)
                 assert padic._gf_powmod(p - 1, p, f, p) == want, (n, p)
 
+    @pytest.mark.parametrize("p", [2, 3, 67, 48611, 2**31 - 1, 2**61 - 1])
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_slot_reduction_at_its_edges(self, n, p):
+        # the kernel keeps every slot below 6n*p^2; each value goes in every slot once
+        w, reduce = padic._slot_reduction(n, p)
+        bound = 6 * n * p * p
+        rng = random.Random(n * p)
+        values = [0, p - 1, p, 2 * p - 1, bound - 1]
+        values += [rng.randrange(lo, hi) for lo, hi in [(1, p), (p, 2 * p), (2 * p, bound)] * 2]
+        for shift in range(len(values)):
+            slots = [values[(shift + i) % len(values)] for i in range(n)]
+            alone = [reduce(y) for y in slots]
+            assert all(r % p == y % p and 0 <= r < 2 * p for r, y in zip(alone, slots))
+            # packed, each slot reduces as it does alone: nothing bleeds into a neighbour
+            packed = sum(y << (w * i) for i, y in enumerate(slots))
+            assert reduce(packed) == sum(r << (w * i) for i, r in enumerate(alone))
+
     @pytest.mark.parametrize("q", [
         # prod (x - (k^2 - a)) for k = 1..6 and the first shift a: every r + a is a
         # square, so the first split leaves the product whole
@@ -365,6 +382,14 @@ class TestClassifyPrime:
         assert main(["classify", "--poly", "x^5+2x^3+3", "--prime", "5", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"p": 5, "verdict": "hensel", "roots": [3, 4], "non_hensel_roots": []}
+
+    def test_all_residues_without_root_finding(self, monkeypatch):
+        def refuse(q, p):
+            raise AssertionError("roots_mod_p called when p divides every coefficient")
+
+        monkeypatch.setattr(padic, "roots_mod_p", refuse)
+        for q in (IntPolynomial([6, 3]), IntPolynomial([0, 9, 0, 3]), IntPolynomial()):
+            assert classify_prime(q, P3).verdict is Verdict.ALL_RESIDUES
 
     def test_all_residues(self, capsys):
         for q in (IntPolynomial([6, 3]), IntPolynomial()):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicval import padic, poly
 from padicval.errors import ZeroPolynomialError
+from padicval.padic import is_prime
 from padicval.poly import (
     IntPolynomial,
     format_poly,
@@ -165,6 +167,19 @@ class TestNonnegIntegerRoots:
     def test_non_simple_root_mod_every_small_prime(self):
         q = math.prod((IntPolynomial([-i, 1]) for i in range(1, 51)), start=IntPolynomial([1]))
         assert nonneg_integer_roots(q) == set(range(1, 51))
+
+    def test_census_tests_each_prime_once(self, monkeypatch):
+        # x^2 - 1 = (x + 1)^2 mod 2, so the census runs on to 3
+        tested = []
+
+        def counted(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(padic, "is_prime", counted)
+        monkeypatch.setattr(poly, "is_prime", counted)
+        assert nonneg_integer_roots(IntPolynomial([-1, 0, 1])) == {1}
+        assert tested == [2, 3]
 
     @given(
         planted=st.lists(st.integers(-40, 400), min_size=1, max_size=4),
