@@ -364,14 +364,15 @@ def _quadratic_roots(c0: int, c1: int, p: int) -> list[int]:
 
 
 def _gf_linear_roots(g: list[int], p: int, a: int, w: list[int] | None) -> list[int]:
-    """Roots of a monic product g of distinct linear factors, by splitting.
+    """Roots of g, a monic product of distinct linear factors or any monic of degree 1 or 2.
 
-    Factors of degree 1 and 2 are solved in closed form; a larger factor h
-    is split by gcd(h, (x + a)^((p-1)/2) - 1) (Cantor-Zassenhaus).  The
-    first split takes w = (x + a)^((p-1)/2) mod a multiple of g, and each
-    later one the next shift a + 1, a + 2, ... mod p.  Some shift in every
-    p consecutive ones separates any two roots, so the loop ends.  A split
-    factor is divided in place, g too.
+    Factors of degree 1 and 2 are solved in closed form, a quadratic with a
+    double root or none too; a larger factor h is split by
+    gcd(h, (x + a)^((p-1)/2) - 1) (Cantor-Zassenhaus).  The first split
+    takes w = (x + a)^((p-1)/2) mod a multiple of g, and each later one the
+    next shift a + 1, a + 2, ... mod p.  Some shift in every p consecutive
+    ones separates any two roots, so the loop ends.  A split factor is
+    divided in place, g too.
     """
     roots: list[int] = []
     stack = [g]
@@ -405,11 +406,11 @@ def _gf_linear_roots(g: list[int], p: int, a: int, w: list[int] | None) -> list[
 def roots_mod_p(q: IntPolynomial, p: Prime) -> list[int]:
     """Sorted residues b in [0, p-1] with q(b) = 0 mod p.
 
-    Small p: exhaustive scan.  Large p: degrees 1 and 2 in closed form;
-    otherwise reduce to the product of the distinct linear factors via gcd
-    with x^p - x = (x + a)^p - (x + a), a = _FIRST_SHIFT, then split that
-    product into roots.  The powmod ladder for (x + a)^p mod q passes
-    through (x + a)^((p-1)/2), which gives the first split for free.
+    Small p: exhaustive scan.  Large p: _gf_linear_roots solves q at degree
+    1 or 2; at degree 3 and up it splits the product of q's distinct linear
+    factors, gcd(q, x^p - x) with x^p - x = (x + a)^p - (x + a),
+    a = _FIRST_SHIFT.  The powmod ladder for (x + a)^p mod q passes through
+    (x + a)^((p-1)/2): the first split, free.
     """
     pv = p.value
     f = _gf_trim([c % pv for c in q.coeffs])
@@ -420,19 +421,14 @@ def roots_mod_p(q: IntPolynomial, p: Prime) -> list[int]:
     if pv < SCAN_THRESHOLD:
         return [b for b in range(pv) if q.evaluate_mod(b, pv) == 0]
     f = _gf_monic(f, pv)
-    if len(f) == 2:
-        return [-f[0] % pv]
-    if len(f) == 3:
-        return _quadratic_roots(f[0], f[1], pv)
-    a = _FIRST_SHIFT
-    xp_minus_x, half = _gf_powmod(a, pv, f, pv)
-    xp_minus_x += [0] * (2 - len(xp_minus_x))
-    xp_minus_x[0] = (xp_minus_x[0] - a) % pv
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % pv
-    g = _gf_gcd(f, _gf_trim(xp_minus_x), pv)
-    if len(g) <= 1:
-        return []
-    return sorted(_gf_linear_roots(g, pv, a, half))
+    a, half = _FIRST_SHIFT, None
+    if len(f) > 3:
+        xp_minus_x, half = _gf_powmod(a, pv, f, pv)
+        xp_minus_x += [0] * (2 - len(xp_minus_x))
+        xp_minus_x[0] = (xp_minus_x[0] - a) % pv
+        xp_minus_x[1] = (xp_minus_x[1] - 1) % pv
+        f = _gf_gcd(f, _gf_trim(xp_minus_x), pv)
+    return sorted(_gf_linear_roots(f, pv, a, half)) if len(f) > 1 else []
 
 
 # -- classification -------------------------------------------------------
@@ -493,26 +489,25 @@ def hensel_digit(q: IntPolynomial, pv: int, gamma: int, ps: int, dinv: int) -> i
 
 
 def hensel_lift(q: IntPolynomial, p: Prime, a: int, k: int) -> int:
-    """The root of q mod p^(k+1) in [0, p^(k+1)) above its simple root a mod p, by Newton's iteration."""
+    """The root of q mod p^(k+1) in [0, p^(k+1)) above its simple root a mod p.
+
+    Newton's iteration lifts the root mod p^ceil(e/2) to the root mod p^e
+    for e = (k >> i) + 1, i = bit_length(k) - 1, ..., 0: about log2(k + 1)
+    steps, each evaluating q and q' once, and none past what the next needs.
+    """
+    if k < 0:
+        raise ValueError(f"precision k must be nonnegative, got k = {k}")
     pv = p.value
     a %= pv
     if q.evaluate_mod(a, pv) != 0:
         raise NotARootError(f"{a} is not a root of {q} mod {pv}")
-    if q.derivative().evaluate_mod(a, pv) == 0:
+    dq = q.derivative()
+    if dq.evaluate_mod(a, pv) == 0:
         raise NotSimpleRootError(f"derivative vanishes at {a} mod {pv}")
-    return newton_lift(q, a, pv, k + 1)
-
-
-def newton_lift(q: IntPolynomial, x: int, p: int, e: int) -> int:
-    """The root of q mod p^e in [0, p^e) above x, a simple root of q mod the prime p.
-
-    Newton's iteration from the root mod p^ceil(e/2): about log2(e) steps,
-    each evaluating q and q' once.
-    """
-    if e <= 1:
-        return x
-    x, m = newton_lift(q, x, p, (e + 1) // 2), p**e
-    return (x - q.evaluate_mod(x, m) * pow(q.derivative().evaluate_mod(x, m), -1, m)) % m
+    for i in reversed(range(k.bit_length())):
+        m = pv ** ((k >> i) + 1)
+        a = (a - q.evaluate_mod(a, m) * pow(dq.evaluate_mod(a, m), -1, m)) % m
+    return a
 
 
 # -- the p-adic descent ---------------------------------------------------

@@ -14,7 +14,7 @@ from math import gcd
 from typing import Iterable
 
 from .errors import ZeroPolynomialError
-from .padic import Prime, classify_prime, is_prime, newton_lift
+from .padic import Prime, classify_prime, hensel_lift, is_prime
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def nonneg_integer_roots(q: IntPolynomial) -> set[int]:
     Nothing is factored.  A positive root r is at most the Cauchy bound B
     and reduces mod a prime l to a root of q mod l.  At the first l where
     classify_prime finds every root mod l simple, each root mod l lifts
-    uniquely (Newton's method) to a root mod some l^k > B, so r is one of
+    uniquely (hensel_lift) to a root mod some l^k > B, so r is one of
     these lifts.  Such an l exists once q is squarefree: any l not
     dividing its discriminant.
     """
@@ -251,10 +251,9 @@ def nonneg_integer_roots(q: IntPolynomial) -> set[int]:
         cls = classify_prime(r, ell)
         if cls.all_roots_simple:
             break
-    pv = ell.value
-    e = bound.bit_length() // (pv.bit_length() - 1) + 1  # pv^e > 2^bitlength(bound) > bound
+    k = bound.bit_length() // (ell.value.bit_length() - 1)  # l^(k+1) > 2^bitlength(bound) > bound
     for x in cls.roots:
-        x = newton_lift(r, x, pv, e)
+        x = hensel_lift(r, ell, x, k)
         if 0 < x <= bound and r.evaluate(x) == 0:
             roots.add(x)
     return roots

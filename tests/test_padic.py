@@ -250,10 +250,21 @@ class TestRootsModP:
                 continue
             assert fast == brute_roots(q, p.value), (q, p)
 
-    @pytest.mark.parametrize("q", [Q1, Q3, E12], ids=["Q1", "Q3", "E12"])
+    @pytest.mark.parametrize(
+        "q",
+        # degrees 1 and 2 take the closed forms above the threshold: a double root
+        # (disc = 0), x^2 + 1 (irreducible at p = 3 mod 4), and non-monic ones
+        [Q1, Q3, E12, IntPolynomial([25, -10, 1]), IntPolynomial([1, 0, 1]), IntPolynomial([6, 3]),
+         IntPolynomial([5, 3, 2])],
+        ids=["Q1", "Q3", "E12", "(x-5)^2", "x^2+1", "3x+6", "2x^2+3x+5"],
+    )
     def test_both_sides_of_threshold(self, q):
         assert 3 < padic.SCAN_THRESHOLD < 300
         for p in primes_first(62)[1:]:  # 3 to 293
+            if not any(c % p.value for c in q.coeffs):  # 3x+6 at p = 3
+                with pytest.raises(PolynomialVanishesModP):
+                    roots_mod_p(q, p)
+                continue
             assert roots_mod_p(q, p) == brute_roots(q, p.value), p
 
     @settings(max_examples=200, deadline=None)
@@ -436,6 +447,12 @@ class TestHenselLift:
     def test_not_a_root(self):
         with pytest.raises(NotARootError):
             hensel_lift(IntPolynomial([1, 0, 1]), P5, 1, 3)
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_precision(self, k):
+        # [0, p^(k+1)) holds no residue below k = 0
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            hensel_lift(IntPolynomial([1, 0, 1]), P5, 2, k)
 
     def test_not_simple(self):
         q = IntPolynomial([1, 0, 0, 1])  # x^3+1 has a triple root mod 3
