@@ -10,14 +10,15 @@ descend again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .padic import Prime, PrimeClassification, classify_prime, descent, primes_first
 from .poly import IntPolynomial, integer_poly_gcd, poly_divexact
 from .recurrence import RecurrenceSpec, valuation_blocks, valuation_tn
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def exact_slope(q: IntPolynomial, p: Prime) -> Fraction:
@@ -32,6 +33,7 @@ def exact_slope(q: IntPolynomial, p: Prime) -> Fraction:
     squarefree piece ends: an endless residue chain would converge to a
     p-adic alpha with Q(alpha) = Q'(alpha) = 0.
     """
+    from fractions import Fraction
     pieces = []
     while (rep := integer_poly_gcd(q, q.derivative())).degree >= 1:
         pieces.append(poly_divexact(q, rep))
@@ -47,6 +49,7 @@ def asymptotic_zero_number(q: IntPolynomial, p: Prime) -> Fraction:
 
 def empirical_slope(spec: RecurrenceSpec, p: Prime, n: int) -> Fraction:
     """(p-1)*valuation(t_n)/n exactly, at finite n."""
+    from fractions import Fraction
     return Fraction((p.value - 1) * valuation_tn(spec, p, n), n)
 
 
@@ -69,8 +72,7 @@ def scan_primes(q: IntPolynomial, count: int) -> Iterator[tuple[Prime, PrimeClas
         yield p, classify_prime(q, p)
 
 
-@dataclass(frozen=True)
-class SlopeReport:
+class SlopeReport(NamedTuple):
     p: Prime
     classification: PrimeClassification
     predicted: Fraction    # per-n slope of the valuation

@@ -12,18 +12,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import sys
-from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import analysis, padic, recurrence, reproduce
 from .errors import PadicValError, ParseError
 from .parser import parse_poly
 from .poly import IntPolynomial, format_poly
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _poly_arg(text: str) -> IntPolynomial:
@@ -70,6 +71,7 @@ class Answer(NamedTuple):
 def _write_json(out: TextIO, value) -> None:
     """What json.dumps(value, sort_keys=True) gives, where value or a value of
     its dict may be a callable, written as the list it yields."""
+    import json
     if callable(value):
         out.write("[")
         out.writelines((", " if i else "") + ", ".join(items) for i, items in enumerate(value()))
@@ -286,7 +288,10 @@ def _cmd_scan(args) -> Answer:
         results = (encode(c) for _, c in analysis.scan_primes(args.poly, args.count))
         return iter(lambda: list(islice(results, 256)), [])
 
-    encoded = functools.partial(windows, lambda c: json.dumps(_classification_json(c), sort_keys=True))
+    def encoded() -> Iterator[list]:
+        import json
+        return windows(lambda c: json.dumps(_classification_json(c), sort_keys=True))
+
     blocks = (list(zip(*rows)) for rows in windows(_classification_row))
     return Answer(encoded, _CLASSIFICATION_HEADER, blocks, row="%s %s roots=%s non_hensel=%s\n")
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import compress, islice
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .errors import (
     NotARootError,
@@ -133,20 +132,18 @@ def is_prime(n: int) -> bool:
     )
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Prime:
-    value: int
+class Prime(NamedTuple("Prime", [("value", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.value):
-            raise ValueError(f"{self.value} is not prime")
+    def __new__(cls, value: int) -> Prime:
+        if not is_prime(value):
+            raise ValueError(f"{value} is not prime")
+        return tuple.__new__(cls, (value,))
 
     @classmethod
     def _proven(cls, value: int) -> Prime:
         """A Prime for a value already proved prime (by the sieve), without re-testing it."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "value", value)
-        return self
+        return tuple.__new__(cls, (value,))
 
     def __str__(self) -> str:
         return str(self.value)
@@ -275,8 +272,9 @@ def _slot_reduction(n: int, p: int) -> tuple[int, Callable[[int], int]]:
     return w, reduce
 
 
-def _gf_powmod(a: int, e: int, f: list[int], p: int) -> tuple[list[int], list[int]]:
-    """(x + a)^e and (x + a)^(e >> 1) mod monic f of degree n, for 0 <= a < p.
+def _gf_powmod(a: int, e: int, f: list[int], p: int) -> tuple[list[int], Callable[[], list[int]]]:
+    """(x + a)^e mod monic f of degree n, for 0 <= a < p, and a callable that
+    unpacks (x + a)^(e >> 1), which few callers read.
 
     Left-to-right square and multiply: the value before the last step is
     the half power, so (x + a)^p comes with (x + a)^((p-1)/2).
@@ -324,7 +322,7 @@ def _gf_powmod(a: int, e: int, f: list[int], p: int) -> tuple[list[int], list[in
         if bit == "1":
             x = (x << w) + a * x
             x = reduce((x & mask) + (x >> (w * n)) * g)
-    return unpack(x), unpack(half)
+    return unpack(x), lambda: unpack(half)
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -363,16 +361,16 @@ def _quadratic_roots(c0: int, c1: int, p: int) -> list[int]:
     return sorted({(s - c1) * half % p, (-s - c1) * half % p})
 
 
-def _gf_linear_roots(g: list[int], p: int, a: int, w: list[int] | None) -> list[int]:
+def _gf_linear_roots(g: list[int], p: int, a: int, w: Callable[[], list[int]] | None) -> list[int]:
     """Roots of g, a monic product of distinct linear factors or any monic of degree 1 or 2.
 
     Factors of degree 1 and 2 are solved in closed form, a quadratic with a
     double root or none too; a larger factor h is split by
     gcd(h, (x + a)^((p-1)/2) - 1) (Cantor-Zassenhaus).  The first split
-    takes w = (x + a)^((p-1)/2) mod a multiple of g, and each later one the
-    next shift a + 1, a + 2, ... mod p.  Some shift in every p consecutive
-    ones separates any two roots, so the loop ends.  A split factor is
-    divided in place, g too.
+    unpacks w() = (x + a)^((p-1)/2) mod a multiple of g, and each later
+    one takes the next shift a + 1, a + 2, ... mod p.  Some shift in every
+    p consecutive ones separates any two roots, so the loop ends.  A split
+    factor is divided in place, g too.
     """
     roots: list[int] = []
     stack = [g]
@@ -387,11 +385,12 @@ def _gf_linear_roots(g: list[int], p: int, a: int, w: list[int] | None) -> list[
             continue
         if w is None:
             a = (a + 1) % p
-            w = _gf_powmod(a, (p - 1) // 2, h, p)[0]
-        w = w or [0]
-        w[0] = (w[0] - 1) % p
-        d1 = _gf_gcd(h, _gf_trim(w), p)
-        w = None
+            half = _gf_powmod(a, (p - 1) // 2, h, p)[0]
+        else:
+            half, w = w(), None
+        half = half or [0]
+        half[0] = (half[0] - 1) % p
+        d1 = _gf_gcd(h, _gf_trim(half), p)
         if 0 < len(d1) - 1 < d:
             del h[: _gf_divide(h, d1, p)]  # h becomes the cofactor h / d1
             stack += [d1, h]
@@ -441,8 +440,7 @@ class Verdict(enum.Enum):
     ALL_RESIDUES = "all_residues"
 
 
-@dataclass(frozen=True)
-class PrimeClassification:
+class PrimeClassification(NamedTuple):
     p: Prime
     verdict: Verdict
     roots: tuple[int, ...]

@@ -8,7 +8,6 @@ shortcuts live in the recurrence engines, not in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import gcd
 from typing import Iterable
@@ -17,15 +16,28 @@ from .errors import ZeroPolynomialError
 from .padic import Prime, classify_prime, hensel_lift, is_prime
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    coeffs: tuple[int, ...]  # coeffs[i] multiplies x**i; trimmed
+    __slots__ = ("coeffs",)  # coeffs[i] multiplies x**i; trimmed
 
     def __init__(self, coeffs: Iterable[int] = ()):
         c = list(coeffs)
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign or delete {name!r}: IntPolynomial is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.coeffs == other.coeffs if isinstance(other, IntPolynomial) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __reduce__(self):
+        return IntPolynomial, (self.coeffs,)
 
     # -- basic structure ---------------------------------------------------
 

@@ -9,17 +9,15 @@ which evaluates at most one term per class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import HasIntegerRootError, NotHenselPrimeError, ValuationOfZeroError, ZeroPolynomialError
 from .padic import Prime, classify_prime, descent, hensel_digit, int_valuation
 from .poly import IntPolynomial, nonneg_integer_roots
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(NamedTuple):
     """Q plus the start index n0 (t_{n0} = 1 by convention).
 
     The multipliers are Q(n0+1), Q(n0+2), ...; the start index must sit

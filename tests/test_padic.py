@@ -279,7 +279,8 @@ class TestRootsModP:
         a = data.draw(coeffs)
         e = data.draw(st.one_of(st.sampled_from([0, 1, p, (p - 1) // 2]), st.integers(2, 300)))
         want = square_and_multiply(a, e, f, p), square_and_multiply(a, e >> 1, f, p)
-        assert padic._gf_powmod(a, e, f, p) == want
+        power, half = padic._gf_powmod(a, e, f, p)
+        assert (power, half()) == want
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_powmod_worst_case_slots(self, n):
@@ -294,7 +295,8 @@ class TestRootsModP:
             for p in (below, past):
                 f = [p - 1] * n + [1]
                 want = square_and_multiply(p - 1, p, f, p), square_and_multiply(p - 1, p >> 1, f, p)
-                assert padic._gf_powmod(p - 1, p, f, p) == want, (n, p)
+                power, half = padic._gf_powmod(p - 1, p, f, p)
+                assert (power, half()) == want, (n, p)
 
     @pytest.mark.parametrize("p", [2, 3, 67, 48611, 2**31 - 1, 2**61 - 1])
     @pytest.mark.parametrize("n", range(1, 14))
