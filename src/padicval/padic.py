@@ -27,13 +27,13 @@ if TYPE_CHECKING:
 
 # Below the threshold an exhaustive residue scan finds roots; above it we
 # first split off the product of linear factors via gcd with x^p - x.  On
-# the 564 primes below 4096, at degrees 2, 5, 8 and 12 (best of five runs,
-# two sets, on a shared 2-core host whose run-to-run spread reached 1.6
-# times), every threshold from 4 to 128 classified Q within that spread of
-# the fastest, and so did 256 and 512 except at degree 2 (1.9 to 4.1
-# times); 4096 took 13 to 25 times as long at degrees 5 to 12, and 110 to
-# 151 times at degree 2.  It must stay above 2: the quadratic formula
-# needs an odd p.
+# the 564 primes below 4096, at degrees 2, 5, 8 and 12 (best of seven runs,
+# thresholds interleaved, two sets, on a shared 2-core host whose two sets
+# differed by up to 1.6 times), thresholds 16, 32, 64 and 128 classified Q
+# within 1.23 times of the fastest at degree 2 and 1.13 times at the rest,
+# none of them fastest in both sets.  With an earlier kernel, 256 and 512
+# took 1.9 to 4.1 times as long at degree 2, and 4096 took 13 to 151
+# times.  It must stay above 2: the quadratic formula needs an odd p.
 SCAN_THRESHOLD = 64
 
 # The shift a of the first split, which the x^p ladder computes as
@@ -252,24 +252,21 @@ def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return _gf_monic(a, p) if a else a
 
 
-def _slot_reduction(n: int, p: int) -> tuple[int, Callable[[int], int]]:
-    """Slot width w (whole bytes) and Barrett's reduction mod p of every slot of an n-slot int.
+def _slot_reduction(n: int, p: int) -> tuple[int, int, int, int]:
+    """Slot width w (whole bytes) and Barrett's constants k, mu, qmask mod p for an n-slot int.
 
     A slot holds y < 6n*p^2 < 2^k; with mu = 2^k // p, y*mu < 2^w, so one
     product x*mu holds every y*mu with no carry between slots, and the low
-    w - k bits of each slot of (x*mu) >> k are Barrett's quotient
-    floor(y*mu / 2^k), at most y/p and above y/p - 2.  Subtracting p times
-    each leaves every slot congruent to y mod p, in [0, 2p).
+    w - k bits of each slot of (x*mu) >> k, which qmask keeps, are Barrett's
+    quotient floor(y*mu / 2^k), at most y/p and above y/p - 2.  So
+    x - p*((x*mu >> k) & qmask) leaves every slot congruent to y mod p, in
+    [0, 2p).
     """
     k = (6 * n * p * p).bit_length()
     mu = (1 << k) // p
     w = -(-(k + mu.bit_length()) // 8) * 8
-    qmask = ((1 << (w * n)) - 1) // ((1 << w) - 1) * ((1 << (w - k)) - 1)
-
-    def reduce(x: int) -> int:
-        return x - p * (((x * mu) >> k) & qmask)
-
-    return w, reduce
+    qmask = int.from_bytes(((1 << (w - k)) - 1).to_bytes(w // 8, "little") * n, "little")
+    return w, k, mu, qmask
 
 
 def _gf_powmod(a: int, e: int, f: list[int], p: int) -> tuple[list[int], Callable[[], list[int]]]:
@@ -293,15 +290,18 @@ def _gf_powmod(a: int, e: int, f: list[int], p: int) -> tuple[list[int], Callabl
     Only the final unpack takes an exact % p per coefficient.
     """
     n = len(f) - 1
-    w, reduce = _slot_reduction(n, p)
-    b = w // 8
+    w, k, mu, qmask = _slot_reduction(n, p)
+    wn, wn1 = w * n, w * (n - 1)
+    mask, slot = (1 << wn) - 1, (1 << w) - 1
 
     def pack(c: list[int]) -> int:
-        return int.from_bytes(b"".join([y.to_bytes(b, "little") for y in c]), "little")
+        x = 0
+        for y in reversed(c):
+            x = x << w | y
+        return x
 
     def unpack(x: int) -> list[int]:
-        s = x.to_bytes(b * n, "little")
-        return _gf_trim([int.from_bytes(s[i : i + b], "little") % p for i in range(0, b * n, b)])
+        return _gf_trim([(x >> i & slot) % p for i in range(0, wn, w)])
 
     # v = x^(2n-1) div f is 1/rev(f) mod x^n reversed: each new series term goes in front
     r = f[-2::-1]
@@ -310,18 +310,19 @@ def _gf_powmod(a: int, e: int, f: list[int], p: int) -> tuple[list[int], Callabl
         s.insert(0, -sum(map(mul, r, s)) % p)
     v = pack(s)
     g = pack([-c % p for c in f[:n]])
-    mask = (1 << (w * n)) - 1
     x = half = 1
     for bit in bin(e)[2:]:
         half = x
         x *= x
-        h = x >> (w * n)
+        h = x >> wn
         if h:
-            x = (x + reduce((reduce(h) * v) >> (w * (n - 1))) * g) & mask
-        x = reduce(x)
+            h = (h - p * ((h * mu >> k) & qmask)) * v >> wn1
+            x = (x + (h - p * ((h * mu >> k) & qmask)) * g) & mask
+        x -= p * ((x * mu >> k) & qmask)
         if bit == "1":
             x = (x << w) + a * x
-            x = reduce((x & mask) + (x >> (w * n)) * g)
+            x = (x & mask) + (x >> wn) * g
+            x -= p * ((x * mu >> k) & qmask)
     return unpack(x), lambda: unpack(half)
 
 
@@ -366,11 +367,14 @@ def _gf_linear_roots(g: list[int], p: int, a: int, w: Callable[[], list[int]] | 
 
     Factors of degree 1 and 2 are solved in closed form, a quadratic with a
     double root or none too; a larger factor h is split by
-    gcd(h, (x + a)^((p-1)/2) - 1) (Cantor-Zassenhaus).  The first split
-    unpacks w() = (x + a)^((p-1)/2) mod a multiple of g, and each later
-    one takes the next shift a + 1, a + 2, ... mod p.  Some shift in every
-    p consecutive ones separates any two roots, so the loop ends.  A split
-    factor is divided in place, g too.
+    gcd(h, (x + a)^((p-1)/2) - 1) (Cantor-Zassenhaus).  The first split is
+    at the shift a, by w() = (x + a)^((p-1)/2) mod a multiple of g when w
+    is given, and each later one takes the next shift a + 1, a + 2, ...
+    mod p.  No such gcd can place the root -a, whose character is 0, so h
+    is first divided by x + a when -a is a root; the quotient divides g
+    too, so w() still serves it.  Some shift in every p consecutive ones
+    separates any two roots, so the loop ends.  A split factor is divided
+    in place, g too.
     """
     roots: list[int] = []
     stack = [g]
@@ -383,11 +387,14 @@ def _gf_linear_roots(g: list[int], p: int, a: int, w: Callable[[], list[int]] | 
         if d == 2:
             roots += _quadratic_roots(h[0], h[1], p)
             continue
-        if w is None:
-            a = (a + 1) % p
-            half = _gf_powmod(a, (p - 1) // 2, h, p)[0]
-        else:
-            half, w = w(), None
+        rest = h[:]
+        _gf_divide(rest, [a, 1], p)  # h(-a) in rest[0], h / (x + a) above it
+        if not rest[0]:
+            roots.append(-a % p)
+            stack.append(rest[1:])
+            continue
+        half = w() if w else _gf_powmod(a, (p - 1) // 2, h, p)[0]
+        w, a = None, (a + 1) % p
         half = half or [0]
         half[0] = (half[0] - 1) % p
         d1 = _gf_gcd(h, _gf_trim(half), p)
@@ -467,15 +474,11 @@ def classify_prime(q: IntPolynomial, p: Prime) -> PrimeClassification:
     if not any(c % p.value for c in q.coeffs):
         return PrimeClassification(p, Verdict.ALL_RESIDUES, (), ())
     roots = roots_mod_p(q, p)
+    if not roots:
+        return PrimeClassification(p, Verdict.NO_ROOTS, (), ())
     dq = q.derivative()
     bad = tuple(b for b in roots if dq.evaluate_mod(b, p.value) == 0)
-    if not roots:
-        verdict = Verdict.NO_ROOTS
-    elif bad:
-        verdict = Verdict.NON_HENSEL
-    else:
-        verdict = Verdict.HENSEL
-    return PrimeClassification(p, verdict, tuple(roots), bad)
+    return PrimeClassification(p, Verdict.NON_HENSEL if bad else Verdict.HENSEL, tuple(roots), bad)
 
 
 # -- Hensel lifting -------------------------------------------------------

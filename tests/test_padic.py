@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicval import padic
+from padicval.analysis import scan_primes
 from padicval.cli import main
 from padicval.errors import (
     NotARootError,
@@ -32,6 +33,8 @@ from padicval.poly import IntPolynomial
 Q1 = IntPolynomial([3, 0, 0, 2, 0, 1])  # x^5+2x^3+3
 Q3 = IntPolynomial([1, 0, 0, 1, 0, 1, 0, 0, 1])  # x^8+x^5+x^3+1 = (x+1)^2 (x^2-x+1) Phi_10
 E12 = IntPolynomial([6, -4, 2, 0, 10, -8, 4, 2, -6, 0, 14, 2, 1])  # Eisenstein at 2
+# prod (x - (k^2 - a)) for k = 1..6 and the first shift a
+SQUARES_MINUS_SHIFT = math.prod(IntPolynomial([padic._FIRST_SHIFT - k * k, 1]) for k in range(1, 7))
 P2, P3, P5, P7 = Prime(2), Prime(3), Prime(5), Prime(7)
 PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
 PSI_13 = 3317044064679887385961981  # = 1287836182261 * 2575672364521
@@ -302,7 +305,11 @@ class TestRootsModP:
     @pytest.mark.parametrize("n", range(1, 14))
     def test_slot_reduction_at_its_edges(self, n, p):
         # the kernel keeps every slot below 6n*p^2; each value goes in every slot once
-        w, reduce = padic._slot_reduction(n, p)
+        w, k, mu, qmask = padic._slot_reduction(n, p)
+
+        def reduce(x):  # the step _gf_powmod takes between products
+            return x - p * ((x * mu >> k) & qmask)
+
         bound = 6 * n * p * p
         rng = random.Random(n * p)
         values = [0, p - 1, p, 2 * p - 1, bound - 1]
@@ -316,15 +323,29 @@ class TestRootsModP:
             assert reduce(packed) == sum(r << (w * i) for i, r in enumerate(alone))
 
     @pytest.mark.parametrize("q", [
-        # prod (x - (k^2 - a)) for k = 1..6 and the first shift a: every r + a is a
-        # square, so the first split leaves the product whole
-        math.prod([IntPolynomial([padic._FIRST_SHIFT - k * k, 1]) for k in range(1, 7)]),
+        # every root r has r + a a square, so the first split leaves the product whole
+        SQUARES_MINUS_SHIFT,
+        # with the root -a, whose character is 0 at every shift-a split, and with
+        # -(a + 1), the root the second shift cannot place
+        SQUARES_MINUS_SHIFT * IntPolynomial([padic._FIRST_SHIFT, 1]),
+        SQUARES_MINUS_SHIFT * IntPolynomial([padic._FIRST_SHIFT + 1, 1]),
         IntPolynomial([-1] + [0] * 11 + [1]),  # x^12 - 1
-    ], ids=["squares_minus_shift", "x12_minus_1"])
+    ], ids=["squares_minus_shift", "with_minus_shift", "with_minus_next_shift", "x12_minus_1"])
     def test_roots_the_free_split_cannot_separate(self, q):
         for p in primes_first(430):
             if 67 <= p.value <= 3000:
                 assert roots_mod_p(q, p) == brute_roots(q, p.value), p
+
+    @pytest.mark.parametrize("q, most", [(Q1, 1014), (Q3, 1338)], ids=["Q1", "Q3"])
+    def test_root_minus_shift_costs_no_power(self, q, most, monkeypatch):
+        # Q1 and Q3 have the root -1 = -a at every prime: it is divided out, not
+        # left for more (x + a)^((p-1)/2) splits (1112 and 1694 powers without)
+        calls = []
+        powmod = padic._gf_powmod
+        monkeypatch.setattr(padic, "_gf_powmod", lambda *args: calls.append(args) or powmod(*args))
+        for _ in scan_primes(q, 1000):
+            pass
+        assert len(calls) <= most
 
     @settings(max_examples=200, deadline=None)
     @given(p=st.sampled_from([2, 3, 5, 7, 13, 10007, 2**61 - 1]), data=st.data())
@@ -390,6 +411,44 @@ class TestClassifyPrime:
             b = classify_prime(q + p.value * shift, p)
             assert a.verdict == b.verdict
             assert a.roots == b.roots
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # both sides of SCAN_THRESHOLD, where an exhaustive census still runs, and 2^61 - 1
+        p=st.sampled_from([2, 3, 5, 7, 31, 61, 67, 101, 257, 1009, 4093, 2**61 - 1]),
+        data=st.data(),
+    )
+    def test_classify_equals_census(self, p, data):
+        assert 61 < padic.SCAN_THRESHOLD < 67
+        lead_vanishes = data.draw(st.booleans())  # p | lc(Q)
+        if p < 5000:
+            # degree 1 to 8, with (x + 1)^j as a factor for j = 0, 1 or 2
+            j = data.draw(st.integers(0, 2))
+            low = data.draw(st.lists(st.integers(-60, 60), min_size=max(0, 1 - j), max_size=8 - j))
+            lead = p * data.draw(st.integers(1, 3)) if lead_vanishes else data.draw(
+                st.integers(1, 60).filter(lambda c: c % p))
+            q = math.prod([IntPolynomial([1, 1])] * j, start=IntPolynomial(low + [lead]))
+            roots = tuple(b for b in range(p) if q.evaluate_mod(b, p) == 0)
+        else:
+            # planted: linear factors (x - r), repeats and -1 among them, and maybe x^2 + 1,
+            # which has no root at p = 3 mod 4; p * x^9 puts p | lc(Q)
+            pick = st.sampled_from([p - 1, 1, 2, 12345]) | st.integers(0, p - 1)
+            picks = data.draw(st.lists(pick, max_size=6))
+            q = math.prod([IntPolynomial([-r, 1]) for r in picks], start=IntPolynomial([1]))
+            if data.draw(st.booleans()) or not picks:
+                q = q * IntPolynomial([1, 0, 1])
+            if lead_vanishes:
+                q = q + IntPolynomial([0] * 9 + [p])
+            roots = tuple(sorted(set(picks)))
+        cls = classify_prime(q, Prime(p))
+        dq = q.derivative()
+        bad = tuple(b for b in roots if dq.evaluate_mod(b, p) == 0)
+        if not any(c % p for c in q.coeffs):
+            want = (Verdict.ALL_RESIDUES, (), ())
+        else:
+            verdict = Verdict.NON_HENSEL if bad else Verdict.HENSEL if roots else Verdict.NO_ROOTS
+            want = (verdict, roots, bad)
+        assert (cls.verdict, cls.roots, cls.non_hensel_roots) == want, (q, p)
 
     def test_serialization(self, capsys):
         assert main(["classify", "--poly", "x^5+2x^3+3", "--prime", "5", "--format", "json"]) == 0
