@@ -117,7 +117,7 @@ def valuation_tn_fast(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     """valuation_tn, refused unless every root of Q mod p is simple."""
     if not classify_prime(spec.poly, p).all_roots_simple:
         raise NotHenselPrimeError(
-            f"{p} is not a Hensel prime for {spec.poly}; use the direct engine"
+            f"{p} is not a Hensel prime for {spec.poly}; --engine auto is exact at every prime"
         )
     return valuation_tn(spec, p, n)
 

@@ -158,6 +158,9 @@ class TestValuation:
         code, _, err = run(capsys, "valuation", "--poly", "x^5+2x^3+3", "--prime", "3",
                            "--n", "10", "--engine", "fast")
         assert code == 1
+        # auto, not direct, is the exact engine to suggest: it is polylog in n, direct O(n)
+        assert err == ("error: 3 is not a Hensel prime for x^5+2*x^3+3; "
+                       "--engine auto is exact at every prime\n")
 
     def test_p_divides_content(self, capsys):
         code, out, _ = run(capsys, "valuation", "--poly", "3x^2+3", "--prime", "3",

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicval import padic, poly
@@ -33,6 +34,21 @@ def divisor_roots(q):
         if c0 % d == 0:
             roots |= {e for e in (d, c0 // d) if reduced.evaluate(e) == 0}
     return roots
+
+
+def euclid_over_q(a, b):
+    """Oracle: Euclid's algorithm in Q[x] on Fractions, then the primitive integer multiple."""
+    a, b = [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
+    while b:
+        while len(a) >= len(b):
+            c, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, y in enumerate(b):
+                a[shift + i] -= c * y
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    den = math.lcm(*(c.denominator for c in a))
+    return IntPolynomial(int(c * den) for c in a).primitive_part()
 
 
 class TestEvaluate:
@@ -134,6 +150,36 @@ class TestGcd:
         if a.is_zero and b.is_zero:
             return
         assert integer_poly_gcd(a, b) == integer_poly_gcd(b, a)
+
+    @given(
+        a=small_polys,
+        b=small_polys,
+        f=st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(IntPolynomial).filter(bool),
+        square=st.booleans(),
+        content=st.integers(1, 12),
+    )
+    @settings(max_examples=200)
+    def test_matches_euclid_over_q(self, a, b, f, square, content):
+        # f is rarely monic, f^2 plants a repeated factor, a short list is a
+        # constant, and an empty one makes that side zero
+        f = f * f if square else f
+        a, b = a * f * content, b * f
+        assume(a or b)
+        assert integer_poly_gcd(a, b) == euclid_over_q(a, b)
+
+    def test_unlucky_prime_is_retried(self, monkeypatch):
+        # the bound 2 * 1 * 2^1 * (isqrt(2) + 1) = 8 puts the first prime at 11,
+        # where x + 12 is x + 1: the gcd mod 11 is x + 1, which does not
+        # divide x + 12 over Z, so 13 is tried next
+        primes = []
+
+        def spy(a, b, ell):
+            primes.append(ell)
+            return padic._gf_gcd(a, b, ell)
+
+        monkeypatch.setattr(poly, "_gf_gcd", spy)
+        assert integer_poly_gcd(IntPolynomial([1, 1]), IntPolynomial([12, 1])) == IntPolynomial([1])
+        assert primes == [11, 13]
 
 
 class TestNonnegIntegerRoots:
