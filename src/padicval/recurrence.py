@@ -73,10 +73,14 @@ def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[in
     It reads the nodes of padic.descent: R(k) = Q(A*k + B) / p^c on the k
     with n0 < A*k + B <= n0 + n, whose stripped power p^m counts once per
     index of its class.  A simple root is lifted one Hensel digit at a
-    time, each digit counting the indices of its class.  A non-simple root
-    whose class holds at most one window index is removed from the node's
-    repeated roots, so the descent does not go below it, and its index, if
-    any, is evaluated directly.
+    time, each digit counting the indices of its class: the k = gamma mod
+    p^s with below < (k - gamma) / p^s <= top.  The two floors are taken
+    once per root, and the next digit d turns each floor x into
+    (x - d) // p, since floor((floor(y / m) - d) / p) =
+    floor((y - d*m) / (m*p)): no digit divides by A*p^s.  A non-simple
+    root whose class holds at most one window index is removed from the
+    node's repeated roots, so the descent does not go below it, and its
+    index, if any, is evaluated directly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -87,14 +91,17 @@ def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[in
         dr = r.derivative()
         for gamma in simple:
             dinv, ps = pow(dr.evaluate_mod(gamma, pv), -1, pv), pv  # gamma is the root mod p^s
-            while c := count_congruent(n, a * gamma + b, a * ps, lo):
+            below, top = (lo - a * gamma - b) // (a * pv), (lo + n - a * gamma - b) // (a * pv)
+            while c := top - below:
                 if c == 1:  # its one index k = gamma mod p^s gains v_p(R(k)) - s + 1 more
-                    k = ((lo - a * gamma - b) // (a * ps) + 1) * ps + gamma
+                    k = (below + 1) * ps + gamma
                     yield a * ps, a * gamma + b, int_valuation(r.evaluate(k) // ps, p) + 1, 1
                     break
                 yield a * ps, a * gamma + b, 1, c
-                gamma += hensel_digit(r, pv, gamma, ps, dinv) * ps
+                d = hensel_digit(r, pv, gamma, ps, dinv)
+                gamma += d * ps
                 ps *= pv
+                below, top = (below - d) // pv, (top - d) // pv
         for root in repeated[:]:
             if (c := count_congruent(n, a * root + b, a * pv, lo)) <= 1:
                 repeated.remove(root)

@@ -140,6 +140,22 @@ class TestPrime:
         assert passing == list(STRONG_LUCAS_PSEUDOPRIMES)
         assert all(padic._strong_lucas_probable_prime(n) for n in range(3, 20000, 2) if flags[n])
 
+    def test_jacobi_against_euler_criterion(self):
+        # (a/n) is the product of the Legendre symbols (a/q) over n's prime factors q,
+        # each by Euler's criterion; it is 0 when a shares a factor with n
+        def jacobi(a, n):
+            symbol, q = 1, 3
+            while n > 1:
+                while n % q == 0:
+                    n //= q
+                    symbol *= {0: 0, 1: 1, q - 1: -1}[pow(a, (q - 1) // 2, q)]
+                q += 2
+            return symbol
+
+        for n in range(1, 300, 2):
+            for a in range(-2 * n, 2 * n + 1):
+                assert padic._jacobi(a, n) == jacobi(a, n), (a, n)
+
     def test_accepts_primes(self):
         for n in (2, 3, 5, 48611, 2**61 - 1):
             assert Prime(n).value == n

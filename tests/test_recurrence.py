@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -33,7 +34,7 @@ OMEGA = IntPolynomial([1, 0, 1])  # x^2+1
 Q1 = IntPolynomial([3, 0, 0, 2, 0, 1])
 Q3 = IntPolynomial([1, 0, 0, 1, 0, 1, 0, 0, 1])  # x^8+x^5+x^3+1 = (x+1)^2 (x^2-x+1)(x^4-x^3+x^2-x+1)
 SQUARE = IntPolynomial([1, 2, 1])  # (x+1)^2
-P2, P3, P5 = Prime(2), Prime(3), Prime(5)
+P2, P3, P5, P7 = Prime(2), Prime(3), Prime(5), Prime(7)
 
 
 def series_values(spec, p, n):
@@ -228,6 +229,86 @@ class TestTree:
     def test_paper_non_hensel_primes(self, pv):
         spec = make_spec(Q1)
         assert valuation_tn(spec, Prime(pv), 3000) == valuation_tn_direct(spec, Prime(pv), 3000)
+
+
+CUBIC = IntPolynomial([1, 1]) * IntPolynomial([3, 2]) * IntPolynomial([5, 3])  # (x+1)(2x+3)(3x+5)
+
+
+def linear_valuation(a, b, pv, n0, n):
+    """sum of v_p(a*k + b) over n0 < k <= n0 + n, for a > 0 and a*k + b > 0 there:
+    the count of k with p^s | a*k + b, summed over s, each count by floors."""
+    total, m = 0, pv
+    while m <= a * (n0 + n) + b:
+        g = math.gcd(a, m)  # a*k + b = 0 mod m has a solution only if g | b, then k = r mod m / g
+        if b % g == 0:
+            r = -(b // g) * pow(a // g, -1, m // g) % (m // g)
+            total += (n0 + n - r) // (m // g) - (n0 - r) // (m // g)
+        m *= pv
+    return total
+
+
+@st.composite
+def linear_products(draw):
+    """(c, factors, p, n0, n): c times 1-3 linear factors a*x + b, positive on the window.
+    Some factor has p | a, and some two may share their root mod p."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    linear = st.tuples(st.sampled_from((1, 2, 3, p, 2 * p, p * p)), st.integers(-40, 40))
+    factors = draw(st.lists(linear, min_size=1, max_size=3))
+    if len(factors) < 3 and draw(st.booleans()):  # a second factor on the first one's residue mod p
+        a, b = factors[0]
+        factors.append((a, b + a * p * draw(st.integers(-3, 3))))
+    n0 = max(0, *(-b for _, b in factors)) + draw(st.sampled_from((0, 1, 10**6, 10**50)))
+    n = draw(st.one_of(st.integers(1, 10**6), st.integers(1, 10**300)))
+    return draw(st.sampled_from((1, -1, 2, p, -p * p))), factors, p, n0, n
+
+
+class TestClosedForm:
+    """The walk against per-factor floor counts, at n far past the direct oracle's reach:
+    the deep Hensel digits and the one-index exit are checked where they happen."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(linear_products())
+    @example((1, [(1, 1), (2, 3), (3, 5)], 7, 0, 10**300))         # all roots simple
+    @example((1, [(7, 1), (1, 1)], 7, 0, 10**300))                 # p | a: no root
+    @example((-2, [(1, 1), (1, 8), (2, 3)], 7, 5, 10**300 + 1))    # -1 twice mod 7: non-Hensel
+    @example((1, [(2, 1), (2, 1)], 3, 0, 10**300))                 # one factor squared
+    def test_linear_product(self, case):
+        c, factors, pv, n0, n = case
+        q = math.prod((IntPolynomial([b, a]) for a, b in factors), start=IntPolynomial([c]))
+        p = Prime(pv)
+        expected = n * int_valuation(c, p) + sum(linear_valuation(a, b, pv, n0, n) for a, b in factors)
+        assert valuation_tn(RecurrenceSpec(q, n0), p, n) == expected
+
+    @pytest.mark.parametrize("c", [1, 7])
+    def test_class_counts_do_not_grow_with_n(self, c, monkeypatch):
+        # a simple root's class counts are floors updated per digit, not count_congruent
+        # calls; those count the stripped power and repeated roots, once per node
+        calls = []
+        count = recurrence.count_congruent
+        monkeypatch.setattr(recurrence, "count_congruent", lambda *args: calls.append(args) or count(*args))
+        per_n = []
+        for n in (10**12, 10**300):
+            calls.clear()
+            valuation_tn(RecurrenceSpec(CUBIC * c, 0), P7, n)
+            per_n.append(len(calls))
+        assert per_n[0] == per_n[1]
+
+    @pytest.mark.parametrize("n0, n", [(0, 2), (0, 10**12), (10**40, 10**300)])
+    def test_digits_per_root_within_log(self, n0, n, monkeypatch):
+        # a class mod p^s holds two or more of the n indices only if p^s < n, so each of
+        # the 3 simple roots takes at most floor(log_7(n)) digits; the spy raises past
+        # that bound, so a walk whose floors stop shrinking fails instead of running on
+        bound, digit, calls = 3 * floor_log(n, 7), recurrence.hensel_digit, []
+
+        def spy(*args):
+            calls.append(args)
+            if len(calls) > bound:
+                raise AssertionError(f"{len(calls)} digits, past the bound {bound}")
+            return digit(*args)
+
+        monkeypatch.setattr(recurrence, "hensel_digit", spy)
+        expected = sum(linear_valuation(a, b, 7, n0, n) for a, b in ((1, 1), (2, 3), (3, 5)))
+        assert valuation_tn(RecurrenceSpec(CUBIC, n0), P7, n) == expected
 
 
 def floor_log(x, pv):
