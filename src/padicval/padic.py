@@ -530,7 +530,7 @@ def descent(
     stack = [(q, 1, 0)]  # (R, A, B) with 0 <= B < A
     while stack:
         r, a, b = stack.pop()
-        m = min(int_valuation(c, p) for c in r.coeffs if c)
+        m = int_valuation(r.content(), p)
         if m:
             r = r.exact_scalar_div(pv**m)
         cls = classify_prime(r, p)

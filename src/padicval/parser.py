@@ -1,4 +1,4 @@
-"""Recursive-descent parser for polynomial expressions in x.
+"""Parser for polynomial expressions in x.
 
 Grammar (whitespace ignored, like terms combined):
 
@@ -6,10 +6,16 @@ Grammar (whitespace ignored, like terms combined):
     term := int ['*'] [var] | var
     var  := 'x' ['^' uint]
 
+One regex, _TOKEN, reads the text as tokens after optional whitespace: a run
+of decimal digits (Unicode category Nd, as str.isdecimal), one other character,
+or "" at the end.  Tokens are read lazily: the parse stops at the first bad one.
+
 Round-trips with the canonical printer: parse(format_poly(q)) == q.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import ParseError
 from .poly import IntPolynomial
@@ -19,97 +25,60 @@ _MINUS = "-−"  # ASCII hyphen and the unicode minus sign
 # Coefficients are stored densely, so the exponent bounds the memory taken.
 MAX_DEGREE = 10_000
 
+# \Z ends the text in one match: without it, trailing whitespace would be
+# retried from each of its positions
+_TOKEN = re.compile(r"\s*(\d+|\S|\Z)")
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self) -> str:
-        c = self.peek()
-        self.pos += 1
-        return c
-
-    def read_uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a digit", start)
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # past Python's limit on digits converted from text
-            raise ParseError("integer has too many digits", start) from None
+def _uint(tok: str, at: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # past Python's limit on digits converted from text
+        raise ParseError("integer has too many digits", at) from None
 
 
 def parse_poly(text: str) -> IntPolynomial:
-    s = _Scanner(text)
-    if s.peek() == "":
-        raise ParseError("empty polynomial", s.pos)
+    tokens = ((m[1], m.start(1)) for m in _TOKEN.finditer(text))
+    tok, at = next(tokens)
+    if not tok:
+        raise ParseError("empty polynomial", at)
     coeffs: dict[int, int] = {}
-    first = True
+    sign = 1
+    if tok in _MINUS:
+        sign = -1
+        tok, at = next(tokens)
     while True:
-        sign = 1
-        c = s.peek()
-        if first and c in _MINUS:
-            s.advance()
-            sign = -1
-        elif not first:
-            if c == "+":
-                s.advance()
-            elif c in _MINUS:
-                s.advance()
-                sign = -1
-            else:
-                raise ParseError(f"expected '+' or '-', got {c!r}", s.pos)
-        coef, power = _parse_term(s)
+        if tok.isdecimal():
+            coef = _uint(tok, at)
+            tok, at = next(tokens)
+            if tok == "*":
+                tok, at = next(tokens)
+                if tok != "x":
+                    raise ParseError("expected 'x' after '*'", at)
+        elif tok == "x":
+            coef = 1
+        else:
+            raise ParseError(f"expected an integer or 'x', got {tok!r}", at)
+        power = 0
+        if tok == "x":
+            power = 1
+            tok, at = next(tokens)
+            if tok == "^":
+                tok, at = next(tokens)
+                if not tok.isdecimal():
+                    raise ParseError("expected a digit", at)
+                power = _uint(tok, at)
+                if power > MAX_DEGREE:
+                    raise ParseError(f"exponent above the maximum degree {MAX_DEGREE}", at)
+                tok, at = next(tokens)
         coeffs[power] = coeffs.get(power, 0) + sign * coef
-        first = False
-        s.skip_ws()
-        if s.pos >= len(s.text):
+        if not tok:
             break
-    size = max(coeffs) + 1 if coeffs else 0
-    out = [0] * size
-    for k, v in coeffs.items():
-        out[k] = v
-    return IntPolynomial(out)
-
-
-def _parse_term(s: _Scanner) -> tuple[int, int]:
-    c = s.peek()
-    if c.isdecimal():
-        coef = s.read_uint()
-        c = s.peek()
-        if c == "*":
-            s.advance()
-            if s.peek() != "x":
-                raise ParseError("expected 'x' after '*'", s.pos)
-        if s.peek() == "x":
-            s.advance()
-            return coef, _parse_power(s)
-        return coef, 0
-    if c == "x":
-        s.advance()
-        return 1, _parse_power(s)
-    raise ParseError(f"expected an integer or 'x', got {c!r}", s.pos)
-
-
-def _parse_power(s: _Scanner) -> int:
-    if s.peek() == "^":
-        s.advance()
-        s.skip_ws()
-        start = s.pos
-        e = s.read_uint()
-        if e > MAX_DEGREE:
-            raise ParseError(f"exponent above the maximum degree {MAX_DEGREE}", start)
-        return e
-    return 1
+        if tok == "+":
+            sign = 1
+        elif tok in _MINUS:
+            sign = -1
+        else:
+            raise ParseError(f"expected '+' or '-', got {tok[:1]!r}", at)  # a digit run by its first digit
+        tok, at = next(tokens)
+    return IntPolynomial([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,9 +77,21 @@ def test_round_trip(q):
     ("x^²", "expected a digit", 2),
     ("²x", "expected an integer or 'x', got '²'", 0),
     ("x+³", "expected an integer or 'x', got '³'", 2),
-], ids=["exponent", "coefficient", "second_term"])
+    ("   ", "empty polynomial", 3),
+    ("x^2 y", "expected '+' or '-', got 'y'", 4),
+    ("x 34", "expected '+' or '-', got '3'", 2),
+    ("2*y", "expected 'x' after '*'", 2),
+    ("x^", "expected a digit", 2),
+    ("x+", "expected an integer or 'x', got ''", 2),
+    ("--x", "expected an integer or 'x', got '-'", 1),
+    ("+x", "expected an integer or 'x', got '+'", 0),
+    ("x^ 10001", "exponent above the maximum degree 10000", 3),
+], ids=["exponent", "coefficient", "second_term", "blank", "trailing_letter", "digits_after_x",
+        "star_without_x", "caret_at_end", "sign_at_end", "double_minus", "leading_plus",
+        "degree_after_space"])
 def test_superscript_digits_rejected(text, message, offset):
-    # str.isdigit() holds for superscripts, which int() rejects
+    # str.isdigit() holds for superscripts, which int() rejects; the other rows pin
+    # each message and offset the grammar can raise
     with pytest.raises(ParseError) as e:
         parse_poly(text)
     assert (str(e.value), e.value.offset) == (f"{message} (at offset {offset})", offset)
@@ -86,3 +101,32 @@ def test_superscript_digits_rejected(text, message, offset):
                          ids=["fullwidth", "arabic_indic"])
 def test_other_decimal_digits_parse(text, coeffs):
     assert parse_poly(text) == IntPolynomial(coeffs)
+
+
+def test_stops_at_first_bad_token():
+    # the text is tokenized lazily: a bad character ends the parse before the rest is read
+    text = "x" + "y" * 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as e:
+            parse_poly(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.offset == 1
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("text, offset", [("x" + " " * 10**5, None), (" " * 10**5, 10**5),
+                                          ("x+" + " " * 10**5, 10**5 + 2)],
+                         ids=["after_term", "blank", "after_sign"])
+def test_trailing_whitespace_linear(text, offset):
+    # a run of whitespace is read once, not once per starting position (2.5 s at 10^4 if it were)
+    start = time.perf_counter()
+    if offset is None:
+        assert parse_poly(text) == IntPolynomial([0, 1])
+    else:
+        with pytest.raises(ParseError) as e:
+            parse_poly(text)
+        assert e.value.offset == offset
+    assert time.perf_counter() - start < 1.0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicval import recurrence
+from padicval import padic, recurrence
 from padicval.analysis import error_series
 from padicval.cli import main
 
@@ -355,6 +355,34 @@ class TestDepthBound:
         n = 2**20
         assert valuation_tn(spec, P2, n) == 2 * (n + 1 - digit_sum(n + 1, P2))
         assert len(calls) == 19
+
+    @settings(max_examples=40, deadline=None)
+    @given(n0=st.sampled_from((0, 1, 12345, 10**40)) | st.integers(0, 10**6),
+           n=st.builds(lambda m, e: m * 10**e, st.integers(1, 10**6), st.integers(0, 294)))
+    @example(n0=0, n=10**300)
+    def test_q3_at_two_deep_chain(self, n0, n):
+        # v_2(Q3(i)) = 2*v_2(i + 1) for odd i and 0 for even i, so v_2(t_n) is twice
+        # v_2(N!/M!) with N = n0 + n + 1 and M = n0 + 1, by Legendre's formula; the chain
+        # along -1 strips a power of 2 that grows with the depth
+        big, small = n0 + n + 1, n0 + 1
+        expected = 2 * ((big - digit_sum(big, P2)) - (small - digit_sum(small, P2)))
+        assert valuation_tn(RecurrenceSpec(Q3, n0), P2, n) == expected
+
+    def test_one_valuation_per_node(self, monkeypatch):
+        # the node's power of p is the valuation of R's content, not of each coefficient
+        nodes, calls = [], []
+        walk, valuation = recurrence.descent, padic.int_valuation
+
+        def spy(*args):
+            for node in walk(*args):
+                nodes.append(node)
+                yield node
+
+        monkeypatch.setattr(recurrence, "descent", spy)
+        monkeypatch.setattr(padic, "int_valuation", lambda *args: calls.append(args) or valuation(*args))
+        valuation_tn(make_spec(Q3), P2, 10**100)
+        assert len(nodes) > 300
+        assert len(calls) == len(nodes)
 
 
 class TestBlocks:
