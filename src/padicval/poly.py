@@ -68,10 +68,6 @@ class IntPolynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPolynomial(self[i] + other[i] for i in range(n))
 
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(self[i] - other[i] for i in range(n))
-
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial(c * other for c in self.coeffs)

@@ -72,15 +72,15 @@ def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[in
 
     It reads the nodes of padic.descent: R(k) = Q(A*k + B) / p^c on the k
     with n0 < A*k + B <= n0 + n, whose stripped power p^m counts once per
-    index of its class.  A simple root is lifted one Hensel digit at a
-    time, each digit counting the indices of its class: the k = gamma mod
-    p^s with below < (k - gamma) / p^s <= top.  The two floors are taken
-    once per root, and the next digit d turns each floor x into
-    (x - d) // p, since floor((floor(y / m) - d) / p) =
-    floor((y - d*m) / (m*p)): no digit divides by A*p^s.  A non-simple
-    root whose class holds at most one window index is removed from the
-    node's repeated roots, so the descent does not go below it, and its
-    index, if any, is evaluated directly.
+    index of its class.  Each root of a node gets one floor pair: its
+    class, the k = gamma mod p^s, holds the indices with below <
+    (k - gamma) / p^s <= top.  A repeated root whose class holds two or
+    more is left to the descent; any other leaves the node's repeated
+    roots.  A simple root takes Hensel digits while its class holds two or
+    more, and digit d turns each floor x into (x - d) // p, since
+    floor((floor(y / m) - d) / p) = floor((y - d*m) / (m*p)): no digit
+    divides by A*p^s.  Every root ends in one exit, where a class of one
+    index is evaluated directly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -88,26 +88,24 @@ def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[in
     for a, b, m, r, simple, repeated in descent(spec.poly, p):
         if m:
             yield a, b, m, count_congruent(n, b, a, lo)
-        dr = r.derivative()
-        for gamma in simple:
-            dinv, ps = pow(dr.evaluate_mod(gamma, pv), -1, pv), pv  # gamma is the root mod p^s
+        for gamma in simple + repeated:  # gamma is the root mod p^s
+            ps = pv
             below, top = (lo - a * gamma - b) // (a * pv), (lo + n - a * gamma - b) // (a * pv)
-            while c := top - below:
-                if c == 1:  # its one index k = gamma mod p^s gains v_p(R(k)) - s + 1 more
-                    k = (below + 1) * ps + gamma
-                    yield a * ps, a * gamma + b, int_valuation(r.evaluate(k) // ps, p) + 1, 1
-                    break
+            if gamma in repeated:
+                if top - below > 1:
+                    continue  # the descent goes below it
+                repeated.remove(gamma)
+            while (c := top - below) > 1:
                 yield a * ps, a * gamma + b, 1, c
+                if ps == pv:  # R' is needed only once a chain takes its first digit
+                    dinv = pow(r.derivative().evaluate_mod(gamma, pv), -1, pv)
                 d = hensel_digit(r, pv, gamma, ps, dinv)
                 gamma += d * ps
                 ps *= pv
                 below, top = (below - d) // pv, (top - d) // pv
-        for root in repeated[:]:
-            if (c := count_congruent(n, a * root + b, a * pv, lo)) <= 1:
-                repeated.remove(root)
-                if c:  # its one index is A*k + B for the first k = root mod p past n0
-                    k = ((lo - a * root - b) // (a * pv) + 1) * pv + root
-                    yield a * pv, a * root + b, int_valuation(r.evaluate(k), p), 1
+            if c:  # its one index k = gamma mod p^s gains v_p(R(k)) - s + 1 more
+                k = (below + 1) * ps + gamma
+                yield a * ps, a * gamma + b, int_valuation(r.evaluate(k) // ps, p) + 1, 1
 
 
 def valuation_tn(spec: RecurrenceSpec, p: Prime, n: int) -> int:

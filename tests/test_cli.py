@@ -575,6 +575,19 @@ class TestUsageErrors:
         assert e.value.code == 2
         assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["valuation", "--poly", "x", "--prime", "2", "--n", "0"],
+        ["series", "--poly", "x", "--prime", "2", "--n-max", "0"],
+        ["errors", "--poly", "x", "--prime", "2", "--n-max", "-1"],
+        ["scan", "--poly", "x", "--count", "0"],
+        ["reproduce", "example1", "--scan-count", "0"],
+    ])
+    def test_count_below_one_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert f"argument {argv[-2]}: must be >= 1" in capsys.readouterr().err
+
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             main([])
@@ -606,13 +619,13 @@ _GRAMMAR = {
     "roots": _COMMON,
     "classify": _COMMON,
     "lift": _COMMON + [("--root", _ints(-10, 100), True), ("--precision", _ints(-5, 50), False)],
-    "valuation": _COMMON + [("--n", _ints(1, 10**4), True),
+    "valuation": _COMMON + [("--n", _ints(-2, 10**4), True),
                             ("--engine", st.sampled_from(["auto", "fast", "direct"]), False),
                             ("--no-auto-shift", None, False)],
-    "series": _COMMON + [("--n-max", _ints(1, 200), True), ("--no-auto-shift", None, False)],
-    "slope": _COMMON + [("--exact", None, False), ("--n", _ints(1, 10**4), False)],
-    "errors": _COMMON + [("--n-max", _ints(1, 200), True), ("--no-auto-shift", None, False)],
-    "scan": [_COMMON[0], _COMMON[2], ("--count", _ints(1, 50), True)],
+    "series": _COMMON + [("--n-max", _ints(-2, 200), True), ("--no-auto-shift", None, False)],
+    "slope": _COMMON + [("--exact", None, False), ("--n", _ints(-2, 10**4), False)],
+    "errors": _COMMON + [("--n-max", _ints(-2, 200), True), ("--no-auto-shift", None, False)],
+    "scan": [_COMMON[0], _COMMON[2], ("--count", _ints(-2, 50), True)],
     "reproduce": [],
 }
 _JUNK = ["(bad", "", "x^", "x^1.5", "2x^-1", "-5", "0", "6", "abc", "xml", "--bogus"]

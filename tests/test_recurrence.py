@@ -198,6 +198,7 @@ class TestTree:
     @pytest.mark.parametrize("call", [
         "valuation_tn(RecurrenceSpec(IntPolynomial([-3, 1]), 0), Prime(2), 100)",
         "valuation_tn_direct(RecurrenceSpec(IntPolynomial([-1, 1]), 0), Prime(2), 1)",
+        "valuation_tn(RecurrenceSpec(IntPolynomial([9, -6, 1]), 0), Prime(2), 100)",  # (x-3)^2
     ])
     def test_zero_multiplier_raises(self, call):
         # in a child process, so that an endless loop fails the test instead of stalling the run
@@ -282,7 +283,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("c", [1, 7])
     def test_class_counts_do_not_grow_with_n(self, c, monkeypatch):
         # a simple root's class counts are floors updated per digit, not count_congruent
-        # calls; those count the stripped power and repeated roots, once per node
+        # calls; those count only the stripped power, once per node
         calls = []
         count = recurrence.count_congruent
         monkeypatch.setattr(recurrence, "count_congruent", lambda *args: calls.append(args) or count(*args))
@@ -383,6 +384,25 @@ class TestDepthBound:
         valuation_tn(make_spec(Q3), P2, 10**100)
         assert len(nodes) > 300
         assert len(calls) == len(nodes)
+
+    @pytest.mark.parametrize("q, pv, n", [(Q3, 2, 10**6), (SQUARE * IntPolynomial([2, 1]), 3, 10**30)])
+    def test_one_class_count_per_node_with_power(self, q, pv, n, monkeypatch):
+        # a node counts its stripped power with count_congruent; each root's class counts
+        # are its own floor pair, so no root adds a call
+        nodes, calls = [], []
+        walk, count = recurrence.descent, recurrence.count_congruent
+
+        def spy(*args):
+            for node in walk(*args):
+                nodes.append(node)
+                yield node
+
+        monkeypatch.setattr(recurrence, "descent", spy)
+        monkeypatch.setattr(recurrence, "count_congruent", lambda *args: calls.append(args) or count(*args))
+        valuation_tn(make_spec(q), Prime(pv), n)
+        powered = [node for node in nodes if node[2]]
+        assert len(powered) > 10
+        assert len(calls) == len(powered)
 
 
 class TestBlocks:
