@@ -34,25 +34,24 @@ def _poly_arg(text: str) -> IntPolynomial:
         raise argparse.ArgumentTypeError(str(e)) from e
 
 
+def _int(text: str, low: int | None = None) -> int:
+    """An integer option's value, at least low when low is given."""
+    try:
+        n = int(text)
+    except ValueError as e:  # the text is not an integer, or one past Python's digit limit
+        too_long = "integer string conversion" in str(e)
+        raise argparse.ArgumentTypeError("integer has too many digits" if too_long
+                                         else f"invalid int value: {text!r}") from None
+    if low is not None and n < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}")
+    return n
+
+
 def _prime_arg(text: str) -> padic.Prime:
     try:
-        return padic.Prime(int(text))
+        return padic.Prime(_int(text))
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from e
-
-
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return n
-
-
-def _nonneg_int(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return n
 
 
 class Answer(NamedTuple):
@@ -135,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Prime valuations of product sequences t_n = Q(n) t_{n-1}.",
     )
     sp = ap.add_subparsers(dest="command", required=True)
+    positive = functools.partial(_int, low=1)
 
     s = sp.add_parser("roots", help="roots of Q mod p")
     _add_common(s)
@@ -144,37 +144,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("lift", help="lift a simple root mod p to higher precision")
     _add_common(s)
-    s.add_argument("--root", type=int, required=True, help="base residue mod p")
-    s.add_argument("--precision", type=_nonneg_int, default=8, help="extra digits k; result is exact mod p^(k+1)")
+    s.add_argument("--root", type=_int, required=True, help="base residue mod p")
+    s.add_argument("--precision", type=functools.partial(_int, low=0), default=8,
+                   help="extra digits k; result is exact mod p^(k+1)")
+    s.set_defaults(usage_error=s.error)  # _cmd_lift's bound on --precision reads under lift's usage
 
     s = sp.add_parser("valuation", help="valuation of t_n")
     _add_common(s)
-    s.add_argument("--n", type=_positive_int, required=True)
+    s.add_argument("--n", type=positive, required=True)
     s.add_argument("--engine", choices=("auto", "fast", "direct"), default="auto")
     s.add_argument("--no-auto-shift", action="store_true")
 
     s = sp.add_parser("series", help="valuations of t_1 .. t_N")
     _add_common(s)
-    s.add_argument("--n-max", type=_positive_int, required=True)
+    s.add_argument("--n-max", type=positive, required=True)
     s.add_argument("--no-auto-shift", action="store_true")
 
     s = sp.add_parser("slope", help="asymptotic slope and zero number")
     _add_common(s)
     s.add_argument("--exact", action="store_true", help="accepted; the slope is always exact")
-    s.add_argument("--n", type=_positive_int, help="also report the finite-n empirical slope")
+    s.add_argument("--n", type=positive, help="also report the finite-n empirical slope")
 
     s = sp.add_parser("errors", help="normalized and relative error series")
     _add_common(s)
-    s.add_argument("--n-max", type=_positive_int, required=True)
+    s.add_argument("--n-max", type=positive, required=True)
     s.add_argument("--no-auto-shift", action="store_true")
 
     s = sp.add_parser("scan", help="classify Q at the first N primes")
     _add_common(s, prime=False)
-    s.add_argument("--count", type=_positive_int, required=True)
+    s.add_argument("--count", type=positive, required=True)
 
     s = sp.add_parser("reproduce", help="recompute the worked-example claims")
     s.add_argument("selector", choices=sorted(reproduce.SELECTORS) + ["all"])
-    s.add_argument("--scan-count", type=_positive_int, default=5000)
+    s.add_argument("--scan-count", type=positive, default=5000)
     s.add_argument("--out", metavar="PATH")
     s.set_defaults(format="table")
 
@@ -227,8 +229,8 @@ def _cmd_lift(args) -> Answer:
     pv, k = args.prime.value, args.precision
     max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if max_digits and k > (limit := max_lift_precision(pv, max_digits)):
-        _parser().error(f"argument --precision: must be <= {limit} at p = {pv}, "
-                        f"so that p^(k+1) stays within {max_digits} decimal digits")
+        args.usage_error(f"argument --precision: must be <= {limit} at p = {pv}, "
+                         f"so that p^(k+1) stays within {max_digits} decimal digits")
     value = x = padic.hensel_lift(args.poly, args.prime, args.root, k)
     digits = []  # little-endian base p
     for _ in range(k + 1):

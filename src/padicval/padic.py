@@ -531,8 +531,9 @@ def descent(
     while stack:
         r, a, b = stack.pop()
         m = int_valuation(r.content(), p)
-        if m:
-            r = r.exact_scalar_div(pv**m)
+        if m:  # p^m divides every coefficient of r: m is the valuation of its content
+            pm = pv**m
+            r = type(r)(c // pm for c in r.coeffs)
         cls = classify_prime(r, p)
         repeated = list(cls.non_hensel_roots)
         simple = [x for x in cls.roots if x not in repeated]

@@ -132,16 +132,6 @@ class IntPolynomial:
             g = -g
         return IntPolynomial(c // g for c in self.coeffs)
 
-    def exact_scalar_div(self, d: int) -> "IntPolynomial":
-        """Divide every coefficient by d; each division must be exact."""
-        out = []
-        for c in self.coeffs:
-            q, r = divmod(c, d)
-            if r:
-                raise ValueError(f"coefficient {c} not divisible by {d}")
-            out.append(q)
-        return IntPolynomial(out)
-
     # -- text form ---------------------------------------------------------
 
     def __str__(self) -> str:

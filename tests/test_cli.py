@@ -86,7 +86,8 @@ class TestLift:
             main(["lift", "--poly", "x^2+1", "--prime", "5", "--root", "2",
                   "--precision", str(limit + 1)])
         assert e.value.code == 2
-        assert "--precision: must be <= 6150" in capsys.readouterr().err
+        # the lift subparser reports it, as it does every other lift usage error
+        assert "padicval lift: error: argument --precision: must be <= 6150" in capsys.readouterr().err
 
     def test_golden_csv(self, capsys):
         code, out, _ = run(capsys, "lift", "--poly", "x^2+1", "--prime", "5", "--root", "2",
@@ -587,6 +588,31 @@ class TestUsageErrors:
             main(argv)
         assert e.value.code == 2
         assert f"argument {argv[-2]}: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["roots", "--poly", "x", "--prime", "abc"],
+        ["lift", "--poly", "x^2+1", "--prime", "5", "--root", "abc"],
+        ["lift", "--poly", "x^2+1", "--prime", "5", "--root", "2", "--precision", "abc"],
+        ["valuation", "--poly", "x", "--prime", "2", "--n", "abc"],
+        ["series", "--poly", "x", "--prime", "2", "--n-max", "abc"],
+        ["scan", "--poly", "x", "--count", "abc"],
+        ["reproduce", "example1", "--scan-count", "abc"],
+        ["valuation", "--poly", "x", "--prime", "2", "--n", "1" * 5000],
+    ])
+    def test_non_integer_exits_2(self, capsys, argv):
+        # every integer option reads its value one way; one past Python's
+        # digit limit is named, not echoed
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # Python's default
+        try:
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        message = "invalid int value: 'abc'" if argv[-1] == "abc" else "integer has too many digits"
+        assert f"argument {argv[-2]}: {message}" in err and "1" * 100 not in err
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import pathlib
 import pickle
 import random
 
@@ -39,6 +41,18 @@ P2, P3, P5, P7 = Prime(2), Prime(3), Prime(5), Prime(7)
 PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
 PSI_13 = 3317044064679887385961981  # = 1287836182261 * 2575672364521
 STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)  # all of them below 20000
+
+
+def _load_reference():
+    """perfbench/reference.py, which imports nothing from padicval, loaded by its path."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load_reference()
 
 
 def brute_roots(q, p):
@@ -465,6 +479,28 @@ class TestClassifyPrime:
             verdict = Verdict.NON_HENSEL if bad else Verdict.HENSEL if roots else Verdict.NO_ROOTS
             want = (verdict, roots, bad)
         assert (cls.verdict, cls.roots, cls.non_hensel_roots) == want, (q, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        low=st.lists(st.integers(-30, 30), min_size=1, max_size=7),
+        lead=st.integers(-30, 30).filter(bool),
+        square=st.none() | st.tuples(st.integers(1, 3), st.integers(-5, 5)),
+        p=st.sampled_from([q for q in range(2, 102) if is_prime(q)]),
+    )
+    def test_non_hensel_only_where_p_divides_the_resultant(self, low, lead, square, p):
+        # a root mod p shared by Q and Q' makes Res(Q, Q') = +-lc(Q) disc(Q) vanish mod p;
+        # a squared linear factor (a*x + b)^2 makes it vanish over Z
+        q = IntPolynomial(low + [lead])  # degree 1 to 7
+        if square:
+            linear = IntPolynomial([square[1], square[0]])
+            q = q * linear * linear
+        res = reference.lc_times_discriminant(list(q.coeffs))
+        cls = classify_prime(q, Prime(p))
+        if cls.verdict is Verdict.NON_HENSEL:
+            assert res % p == 0, (q, p)
+        if res % p and cls.verdict is not Verdict.ALL_RESIDUES:
+            dq = q.derivative()
+            assert cls.non_hensel_roots == () and all(dq.evaluate_mod(r, p) for r in cls.roots), (q, p)
 
     def test_serialization(self, capsys):
         assert main(["classify", "--poly", "x^5+2x^3+3", "--prime", "5", "--format", "json"]) == 0

@@ -434,9 +434,17 @@ class TestBlocks:
             err, relerr = (list(chain.from_iterable(col)) for col in zip(*error_series(spec, p, n, zp)))
         assert relerr == [zp - pm1 * v for v in terms] and err == list(accumulate(relerr))
 
-    def test_n_below_one(self):
+    @pytest.mark.parametrize("call", [
+        lambda: next(valuation_blocks(make_spec(X), P2, 0)),
+        lambda: valuation_tn_direct(make_spec(X), P2, 0),
+        lambda: next(recurrence.residue_classes(make_spec(X), P2, 0)),
+        lambda: count_congruent(10, 3, 3),  # r >= m
+        lambda: count_congruent(10, 0, 0),  # m = 0
+    ], ids=["valuation_blocks", "valuation_tn_direct", "residue_classes",
+            "count_congruent_r_at_m", "count_congruent_m_zero"])
+    def test_n_below_one(self, call):
         with pytest.raises(ValueError):
-            next(valuation_blocks(make_spec(X), P2, 0))
+            call()
 
 
 class TestSeries:
