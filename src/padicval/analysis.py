@@ -13,9 +13,9 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .padic import Prime, PrimeClassification, classify_prime, descent, primes_first
-from .poly import IntPolynomial, integer_poly_gcd, poly_divexact
-from .recurrence import RecurrenceSpec, valuation_blocks, valuation_tn
+from .padic import Prime, PrimeClassification, classify_prime, primes_first
+from .poly import IntPolynomial
+from .recurrence import RecurrenceSpec, squarefree_descent, valuation_blocks, valuation_tn
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -24,22 +24,16 @@ if TYPE_CHECKING:
 def exact_slope(q: IntPolynomial, p: Prime) -> Fraction:
     """Exact per-n slope E = lim valuation(t_n)/n, as a fraction.
 
-    The limit of valuation_tn's walk, with densities for window counts:
-    a node of padic.descent at depth d holds 1/p^d of the indices, so its
-    stripped power p^m adds m/p^d and each simple root adds 1/((p-1)p^d).
-    A factor repeated over Z would make the descent endless, so Q is first
-    peeled into squarefree pieces Q/G, with G = gcd(Q, Q') peeled in turn;
-    slopes add over any pointwise factorization.  The descent of a
-    squarefree piece ends: an endless residue chain would converge to a
-    p-adic alpha with Q(alpha) = Q'(alpha) = 0.
+    The limit of valuation_tn's walk over the same nodes, those of
+    recurrence.squarefree_descent, with densities for window counts: a node
+    at depth d holds 1/p^d of the indices, so its stripped power p^m adds
+    m/p^d and each simple root adds 1/((p-1)p^d).  A squarefree piece's
+    descent ends, unlike that of a factor repeated over Z: an endless residue
+    chain would converge to a p-adic alpha with Q(alpha) = Q'(alpha) = 0.
     """
     from fractions import Fraction
-    pieces = []
-    while (rep := integer_poly_gcd(q, q.derivative())).degree >= 1:
-        pieces.append(poly_divexact(q, rep))
-        q = rep
-    nodes = (node for piece in pieces + [q] for node in descent(piece, p))
-    return sum((m + Fraction(len(simple), p.value - 1)) / a for a, _, m, _, simple, _ in nodes)
+    return sum((m + Fraction(len(simple), p.value - 1)) / a
+               for a, _, m, _, simple, _ in squarefree_descent(q, p))
 
 
 def asymptotic_zero_number(q: IntPolynomial, p: Prime) -> Fraction:

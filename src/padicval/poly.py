@@ -8,9 +8,9 @@ shortcuts live in the recurrence engines, not in this module.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import chain, count
 from math import gcd, isqrt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ZeroPolynomialError
 from .padic import Prime, _gf_gcd, classify_prime, hensel_lift, is_prime
@@ -171,7 +171,8 @@ def integer_poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     above twice that, c times the monic gcd mod l lifts to it exactly in
     symmetric residues unless l divides lc a, lc b or res(a/g, b/g).  The
     gcd mod l never has lower degree than g, so a candidate that divides
-    both a and b is g; otherwise l was unlucky and the next prime is tried.
+    both a and b is g, at any l; otherwise l was unlucky and the next prime
+    is tried.  So 2^61 - 1 goes first when the bound is past it.
     """
     if a.is_zero and b.is_zero:
         raise ZeroPolynomialError("gcd of two zero polynomials")
@@ -180,9 +181,12 @@ def integer_poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     a, b = a.primitive_part(), b.primitive_part()
     c = gcd(a.leading, b.leading)
     norm = min(isqrt(sum(x * x for x in q.coeffs)) + 1 for q in (a, b))
-    for ell in filter(is_prime, count((2 * c * norm << min(a.degree, b.degree)) + 1)):
+    bound = 2 * c * norm << min(a.degree, b.degree)
+    for ell in chain([2**61 - 1] * (bound >= 2**61), filter(is_prime, count(bound + 1))):
         if a.leading % ell and b.leading % ell:
             g = _gf_gcd([x % ell for x in a.coeffs], [x % ell for x in b.coeffs], ell)
+            if len(g) == 1:  # the gcd over Z has no higher degree than g, so it is 1
+                return IntPolynomial([1])
             g = IntPolynomial((c * x + ell // 2) % ell - ell // 2 for x in g).primitive_part()
             try:
                 poly_divexact(a, g)
@@ -209,6 +213,15 @@ def poly_divexact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     if any(r):
         raise ValueError(f"{b} does not divide {a} exactly")
     return IntPolynomial(q)
+
+
+def squarefree_pieces(q: IntPolynomial) -> Iterator[IntPolynomial]:
+    """P_j = G_(j-1) / G_j, G_0 = q, G_j = gcd(G_(j-1), G_(j-1)') until G_j = 1 (Yun, SYMSAC
+    1976; Modern Computer Algebra 14.6): squarefree, of product q, P_1 with q's roots."""
+    while (g := integer_poly_gcd(q, q.derivative())).degree >= 1:
+        yield poly_divexact(q, g)
+        q = g
+    yield q
 
 
 # Primes below this are tried on Q itself; a repeated factor of Q can give
@@ -242,7 +255,7 @@ def nonneg_integer_roots(q: IntPolynomial) -> set[int]:
     bound = 1 + max(abs(c) for c in r.coeffs[:-1]) // abs(r.leading)
     for ell in map(Prime._proven, filter(is_prime, count(2))):
         if ell.value == _SQUAREFREE_FROM:
-            r = poly_divexact(r, integer_poly_gcd(r, r.derivative()))
+            r = next(squarefree_pieces(r))
         cls = classify_prime(r, ell)
         if cls.all_roots_simple:
             break

@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import HasIntegerRootError, NotHenselPrimeError, ValuationOfZeroError, ZeroPolynomialError
 from .padic import Prime, classify_prime, descent, hensel_digit, int_valuation
-from .poly import IntPolynomial, nonneg_integer_roots
+from .poly import IntPolynomial, nonneg_integer_roots, squarefree_pieces
 
 
 class RecurrenceSpec(NamedTuple):
@@ -66,26 +66,37 @@ def valuation_tn_direct(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     return total
 
 
+def squarefree_descent(q: IntPolynomial, p: Prime
+                       ) -> Iterator[tuple[int, int, int, IntPolynomial, list[int], list[int]]]:
+    """padic.descent's nodes over each squarefree piece of q (poly.squarefree_pieces) in turn:
+    valuations and slopes add over the pieces, and a piece's descent ends at a depth
+    independent of n.  A root node without a repeated root is q's whole descent."""
+    *_, repeated = root = next(descent(q, p))
+    if not repeated:
+        return iter((root,))
+    return (node for piece in squarefree_pieces(q) for node in descent(piece, p))
+
+
 def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[int, int, int, int]]:
     """The walk behind valuation_tn, class by class, as (A, B, w, c): each
     of the c window indices i = B mod A gains w (0 <= B < A).
 
-    It reads the nodes of padic.descent: R(k) = Q(A*k + B) / p^c on the k
-    with n0 < A*k + B <= n0 + n, whose stripped power p^m counts once per
-    index of its class.  Each root of a node gets one floor pair: its
-    class, the k = gamma mod p^s, holds the indices with below <
-    (k - gamma) / p^s <= top.  A repeated root whose class holds two or
-    more is left to the descent; any other leaves the node's repeated
-    roots.  A simple root takes Hensel digits while its class holds two or
-    more, and digit d turns each floor x into (x - d) // p, since
-    floor((floor(y / m) - d) / p) = floor((y - d*m) / (m*p)): no digit
-    divides by A*p^s.  Every root ends in one exit, where a class of one
-    index is evaluated directly.
+    It reads the nodes of squarefree_descent, one squarefree piece P of Q
+    after another: R(k) = P(A*k + B) / p^c on the k with n0 < A*k + B <=
+    n0 + n, whose stripped power p^m counts once per index of its class.
+    Each root of a node gets one floor pair: its class, the k = gamma mod
+    p^s, holds the indices with below < (k - gamma) / p^s <= top.  A
+    repeated root whose class holds two or more is left to the descent; any
+    other leaves the node's repeated roots.  A simple root takes Hensel
+    digits while its class holds two or more, and digit d turns each floor
+    x into (x - d) // p, since floor((floor(y / m) - d) / p) = floor((y -
+    d*m) / (m*p)): no digit divides by A*p^s.  Every root ends in one exit,
+    where a class of one index is evaluated directly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     pv, lo = p.value, spec.start_index
-    for a, b, m, r, simple, repeated in descent(spec.poly, p):
+    for a, b, m, r, simple, repeated in squarefree_descent(spec.poly, p):
         if m:
             yield a, b, m, count_congruent(n, b, a, lo)
         for gamma in simple + repeated:  # gamma is the root mod p^s
@@ -111,9 +122,9 @@ def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[in
 def valuation_tn(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     """Exact valuation at any prime: the weights of residue_classes, summed.
 
-    The walk descends only into classes of two or more window indices, so
-    the depth stays within log_p(n0 + n) + 1 even for repeated factors,
-    and a zero multiplier raises ValuationOfZeroError.
+    The walk reads each squarefree piece of Q, whose descent ends at a depth
+    independent of n, and prunes it to log_p(n0 + n) + 1 levels, the classes
+    of two or more window indices.  A zero multiplier raises ValuationOfZeroError.
     """
     return sum(w * c for _, _, w, c in residue_classes(spec, p, n))
 
@@ -127,19 +138,18 @@ def valuation_tn_fast(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     return valuation_tn(spec, p, n)
 
 
-BLOCK = 1 << 14  # window indices per walk: the series hold O(BLOCK) values at a time, not O(n)
+BLOCK = 1 << 14  # window indices per list: the series hold O(BLOCK) values at a time, not O(n)
 
 
 def valuation_blocks(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[list[int]]:
     """v_p(Q(i)) for i = n0+1 .. n0+n, in order, BLOCK values to a list (the
-    last may hold fewer).  Each block is its own walk of residue_classes,
-    filled one slice values[start::A] per class."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    last may hold fewer), each filled one slice values[start::A] per class
+    of one walk of residue_classes over the whole window."""
+    classes = [(a, b, w) for a, b, w, _ in residue_classes(spec, p, n)]
     for s in range(0, n, BLOCK):
         lo, size = spec.start_index + s, min(BLOCK, n - s)
         values = [0] * size
-        for a, b, w, _ in residue_classes(RecurrenceSpec(spec.poly, lo), p, size):
+        for a, b, w in classes:
             start = (b - lo - 1) % a
             values[start::a] = [v + w for v in values[start::a]]
         yield values

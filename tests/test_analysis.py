@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd, inf
@@ -82,6 +83,18 @@ class TestExactSlope:
         # 5(x+1)(x+6): v_5(5) per index, plus the descent below the double root 4
         assert exact_slope(IntPolynomial([30, 35, 5]), P5) == Fraction(3, 2)
         assert exact_slope(IntPolynomial([9]), P3) == 2
+
+    @pytest.mark.parametrize("q, p", [(Q1, P5), (X, P2), (IntPolynomial([-(3**200), 0, 1]), Prime(7))])
+    def test_hensel_prime_takes_no_gcd(self, q, p):
+        # without a repeated root mod p, Q's descent is its root node: nothing is peeled
+        code, calls = integer_poly_gcd.__code__, []
+        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is code and calls.append(1))
+        try:
+            slope = exact_slope(q, p)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        assert slope == Fraction(classify_prime(q, p).z_p, p.value - 1)
 
     def test_squarefree_deep_descent_needs_no_cap(self):
         # x^2 - 3^200 descends about 100 levels; its factors x -+ 3^100 each give 1/2

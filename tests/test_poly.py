@@ -15,6 +15,7 @@ from padicval.poly import (
     integer_poly_gcd,
     nonneg_integer_roots,
     poly_divexact,
+    squarefree_pieces,
 )
 
 Q1 = IntPolynomial([3, 0, 0, 2, 0, 1])  # x^5+2x^3+3
@@ -180,6 +181,54 @@ class TestGcd:
         monkeypatch.setattr(poly, "_gf_gcd", spy)
         assert integer_poly_gcd(IntPolynomial([1, 1]), IntPolynomial([12, 1])) == IntPolynomial([1])
         assert primes == [11, 13]
+
+    @pytest.mark.parametrize("a, expected, tries", [
+        # a coefficient past 2^61: the gcd is 1 mod 2^61 - 1, and no prime past the bound is sought
+        (IntPolynomial([1, 1]) * IntPolynomial([1 + 3**100, 1]), IntPolynomial([1]), 1),
+        # (x+1)^2 (x+3^100): the candidate x+1 from 2^61 - 1 divides both
+        (IntPolynomial([1, 2, 1]) * IntPolynomial([3**100, 1]), IntPolynomial([1, 1]), 1),
+        # (x+3^50)^2: 3^50 is past (2^61 - 1) / 2, so that candidate fails and the bound's prime runs
+        (IntPolynomial([3**50, 1]) * IntPolynomial([3**50, 1]), IntPolynomial([3**50, 1]), 2),
+    ])
+    def test_word_prime_first(self, a, expected, tries, monkeypatch):
+        primes = []
+
+        def spy(a, b, ell):
+            primes.append(ell)
+            return padic._gf_gcd(a, b, ell)
+
+        monkeypatch.setattr(poly, "_gf_gcd", spy)
+        assert integer_poly_gcd(a, a.derivative()) == expected
+        assert primes[0] == 2**61 - 1 and len(primes) == tries
+
+
+class TestSquarefreePieces:
+    def test_example3(self):
+        q = IntPolynomial([1, 0, 0, 1, 0, 1, 0, 0, 1])  # (x+1)^2 (x^2-x+1)(x^4-x^3+x^2-x+1)
+        assert list(squarefree_pieces(q)) == [poly_divexact(q, IntPolynomial([1, 1])), IntPolynomial([1, 1])]
+
+    @given(
+        factors=st.lists(
+            st.tuples(
+                st.lists(st.integers(-9, 9), min_size=2, max_size=3).map(IntPolynomial)
+                .filter(lambda f: f.degree >= 1),
+                st.integers(1, 3),
+            ),
+            min_size=1, max_size=4,
+        ),
+        content=st.sampled_from((1, -1, 2, 3, -4, 6, 25)),
+        p=st.sampled_from((2, 3, 5, 7)),
+    )
+    @settings(max_examples=150)
+    def test_product_squarefree_and_roots(self, factors, content, p):
+        # linear and quadratic factors, some squared or cubed, times a content
+        q = math.prod((f for f, k in factors for _ in range(k)), start=IntPolynomial([content]))
+        pieces = list(squarefree_pieces(q))
+        assert math.prod(pieces, start=IntPolynomial([1])) == q
+        for piece in pieces:
+            assert integer_poly_gcd(piece, piece.derivative()).degree == 0
+        assert [b for b in range(p) if pieces[0].evaluate_mod(b, p) == 0] == \
+            [b for b in range(p) if q.evaluate_mod(b, p) == 0]
 
 
 class TestNonnegIntegerRoots:

@@ -37,6 +37,12 @@ SQUARE = IntPolynomial([1, 2, 1])  # (x+1)^2
 P2, P3, P5, P7 = Prime(2), Prime(3), Prime(5), Prime(7)
 
 
+def close_pair(pv, e=400):
+    """(x+1)(x+1+pv^e): squarefree, but -1 is a repeated root of each of the e
+    nodes down its chain, each of which strips pv^2."""
+    return IntPolynomial([1, 1]) * IntPolynomial([1 + pv**e, 1])
+
+
 def series_values(spec, p, n):
     """valuation_series read whole: the valuations of t_1 .. t_n."""
     return [v for col, in valuation_series(spec, p, n) for v in col]
@@ -323,13 +329,15 @@ def floor_log(x, pv):
 class TestDepthBound:
     """The walk goes at most floor(log_p(n0 + n)) + 1 levels down a non-simple chain.
 
-    Each case has one non-simple chain, along the p-adic root -1, whose
-    digits are all p - 1; so the affine_substitute calls count its levels.
-    The spy raises once past the bound, so a walk that stops pruning fails
-    instead of running on."""
+    A squarefree piece of SQUARE or Q3 has only simple roots, so those make
+    no substitution.  A close pair has one non-simple chain, 400 levels
+    along the p-adic root -1, whose digits are all p - 1; so the
+    affine_substitute calls count its levels.  The spy raises once past the
+    bound, so a walk that stops pruning fails instead of running on."""
 
     @pytest.mark.parametrize("q, pv", [
         (SQUARE, 2), (SQUARE, 3), (SQUARE, 5), (Q3, 2), (Q3, 3),
+        (close_pair(2), 2), (close_pair(3), 3), (close_pair(5), 5),
     ])
     @pytest.mark.parametrize("n0, n", [(0, 1), (0, 2), (0, 1000), (0, 2**20), (12345, 2**20)])
     def test_substitutions_per_chain(self, q, pv, n0, n, monkeypatch):
@@ -348,11 +356,12 @@ class TestDepthBound:
         assert len(calls) <= bound
 
     def test_square_at_two(self, monkeypatch):
-        # (x+1)^2 at p = 2 over n = 2^20: 19 levels, each a class of two or more indices
+        # (x+1)(x+1+2^400), (x+1)^2 to 2-adic precision 400, at p = 2 over n = 2^20:
+        # 19 levels, each a class of two or more indices
         substitute, calls = IntPolynomial.affine_substitute, []
         monkeypatch.setattr(IntPolynomial, "affine_substitute",
                             lambda self, a, b: calls.append(b) or substitute(self, a, b))
-        spec = make_spec(SQUARE)
+        spec = make_spec(close_pair(2))
         n = 2**20
         assert valuation_tn(spec, P2, n) == 2 * (n + 1 - digit_sum(n + 1, P2))
         assert len(calls) == 19
@@ -363,8 +372,8 @@ class TestDepthBound:
     @example(n0=0, n=10**300)
     def test_q3_at_two_deep_chain(self, n0, n):
         # v_2(Q3(i)) = 2*v_2(i + 1) for odd i and 0 for even i, so v_2(t_n) is twice
-        # v_2(N!/M!) with N = n0 + n + 1 and M = n0 + 1, by Legendre's formula; the chain
-        # along -1 strips a power of 2 that grows with the depth
+        # v_2(N!/M!) with N = n0 + n + 1 and M = n0 + 1, by Legendre's formula; each of
+        # Q3's two squarefree pieces lifts its simple root -1 one digit per level
         big, small = n0 + n + 1, n0 + 1
         expected = 2 * ((big - digit_sum(big, P2)) - (small - digit_sum(small, P2)))
         assert valuation_tn(RecurrenceSpec(Q3, n0), P2, n) == expected
@@ -381,11 +390,12 @@ class TestDepthBound:
 
         monkeypatch.setattr(recurrence, "descent", spy)
         monkeypatch.setattr(padic, "int_valuation", lambda *args: calls.append(args) or valuation(*args))
-        valuation_tn(make_spec(Q3), P2, 10**100)
+        valuation_tn(make_spec(close_pair(2)), P2, 10**100)
         assert len(nodes) > 300
         assert len(calls) == len(nodes)
 
-    @pytest.mark.parametrize("q, pv, n", [(Q3, 2, 10**6), (SQUARE * IntPolynomial([2, 1]), 3, 10**30)])
+    @pytest.mark.parametrize("q, pv, n", [(close_pair(2), 2, 10**6),
+                                          (close_pair(3) * IntPolynomial([2, 1]), 3, 10**30)])
     def test_one_class_count_per_node_with_power(self, q, pv, n, monkeypatch):
         # a node counts its stripped power with count_congruent; each root's class counts
         # are its own floor pair, so no root adds a call
@@ -403,6 +413,24 @@ class TestDepthBound:
         powered = [node for node in nodes if node[2]]
         assert len(powered) > 10
         assert len(calls) == len(powered)
+
+    @pytest.mark.parametrize("q, pv", [(Q3, 2), (SQUARE * IntPolynomial([2, 1]), 3)])
+    def test_repeated_factor_nodes_do_not_grow_with_n(self, q, pv, monkeypatch):
+        # the walk reads the squarefree pieces, whose descents end whatever n is
+        nodes, walk = [], recurrence.descent
+
+        def spy(*args):
+            for node in walk(*args):
+                nodes.append(node)
+                yield node
+
+        monkeypatch.setattr(recurrence, "descent", spy)
+        per_n = []
+        for n in (10**12, 10**300):
+            nodes.clear()
+            valuation_tn(make_spec(q), Prime(pv), n)
+            per_n.append(len(nodes))
+        assert per_n[0] == per_n[1]
 
 
 class TestBlocks:
