@@ -173,5 +173,11 @@ SELECTORS: dict[str, Callable[..., list[Claim]]] = {
 
 def run(selector: str, scan_count: int = 5000) -> list[Claim]:
     names = list(SELECTORS) if selector == "all" else [selector]
-    return [claim for name in names
-            for claim in (SELECTORS[name](scan_count) if name == "example2" else SELECTORS[name]())]
+    claims: list[Claim] = []
+    for name in names:
+        fn = SELECTORS[name]
+        if name == "example2":
+            claims.extend(fn(scan_count=scan_count))
+        else:
+            claims.extend(fn())
+    return claims

@@ -18,7 +18,7 @@ from padicval.analysis import (
     slope_report,
 )
 from padicval.cli import main
-from padicval.errors import NotHenselPrimeError
+from padicval.errors import NotHenselPrimeError, ValuationOfZeroError
 from padicval.padic import Prime, Verdict, classify_prime, digit_sum, int_valuation, roots_mod_p
 from padicval.poly import IntPolynomial, integer_poly_gcd
 from padicval.recurrence import make_spec, valuation_tn_fast
@@ -95,6 +95,23 @@ class TestExactSlope:
             sys.setprofile(None)
         assert calls == []
         assert slope == Fraction(classify_prime(q, p).z_p, p.value - 1)
+
+    def test_double_root_mod_p_takes_one_gcd(self):
+        # (x+1)(x+6) is squarefree over Z, but 4 is a double root mod 5:
+        # one gcd(Q, Q') finds it squarefree
+        code, calls = integer_poly_gcd.__code__, []
+        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is code and calls.append(1))
+        try:
+            slope = exact_slope(IntPolynomial([6, 7, 1]), P5)
+        finally:
+            sys.setprofile(None)
+        assert calls == [1]
+        assert slope == Fraction(1, 2)
+
+    def test_zero_polynomial(self):
+        # the descent's root node strips the valuation of the content, which is 0
+        with pytest.raises(ValuationOfZeroError):
+            exact_slope(IntPolynomial(), P5)
 
     def test_squarefree_deep_descent_needs_no_cap(self):
         # x^2 - 3^200 descends about 100 levels; its factors x -+ 3^100 each give 1/2
