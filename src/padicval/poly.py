@@ -8,8 +8,9 @@ shortcuts live in the recurrence engines, not in this module.
 
 from __future__ import annotations
 
-from itertools import chain, count
+from itertools import accumulate, chain, count, repeat
 from math import gcd, isqrt
+from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import ZeroPolynomialError
@@ -107,12 +108,13 @@ class IntPolynomial:
         return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def affine_substitute(self, a: int, b: int) -> "IntPolynomial":
-        """The polynomial R with R(k) = self(a*k + b), computed exactly."""
-        inner = IntPolynomial([b, a])
-        result = IntPolynomial()
-        for c in reversed(self.coeffs):
-            result = result * inner + IntPolynomial([c])
-        return result
+        """The polynomial R with R(k) = self(a*k + b), computed exactly: a Taylor shift to
+        self(x + b) by repeated synthetic division, then coefficient i times a^i."""
+        c, n = list(self.coeffs), len(self.coeffs)
+        for i in range(n - 1):  # pass i fixes c[i], the remainder of the (i+1)-th division by x - b
+            for j in range(n - 2, i - 1, -1):
+                c[j] += b * c[j + 1]
+        return IntPolynomial(map(mul, c, accumulate(repeat(a), mul, initial=1)))
 
     # -- content and normalization -----------------------------------------
 
@@ -172,7 +174,8 @@ def integer_poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     symmetric residues unless l divides lc a, lc b or res(a/g, b/g).  The
     gcd mod l never has lower degree than g, so a candidate that divides
     both a and b is g, at any l; otherwise l was unlucky and the next prime
-    is tried.  So 2^61 - 1 goes first when the bound is past it.
+    is tried.  So the primes are one sequence: the word-size 2^61 - 1 first,
+    whatever the bound, then the primes past the bound.
     """
     if a.is_zero and b.is_zero:
         raise ZeroPolynomialError("gcd of two zero polynomials")
@@ -180,9 +183,7 @@ def integer_poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         return (a or b).primitive_part()
     a, b = a.primitive_part(), b.primitive_part()
     c = gcd(a.leading, b.leading)
-    norm = min(isqrt(sum(x * x for x in q.coeffs)) + 1 for q in (a, b))
-    bound = 2 * c * norm << min(a.degree, b.degree)
-    for ell in chain([2**61 - 1] * (bound >= 2**61), filter(is_prime, count(bound + 1))):
+    for ell in chain([2**61 - 1], _primes_past_bound(a, b, c)):
         if a.leading % ell and b.leading % ell:
             g = _gf_gcd([x % ell for x in a.coeffs], [x % ell for x in b.coeffs], ell)
             if len(g) == 1:  # the gcd over Z has no higher degree than g, so it is 1
@@ -194,6 +195,12 @@ def integer_poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
             except ValueError:
                 continue
             return g
+
+
+def _primes_past_bound(a: IntPolynomial, b: IntPolynomial, c: int) -> Iterator[int]:
+    """The primes above twice the Landau-Mignotte bound, found only once 2^61 - 1 was unlucky."""
+    norm = min(isqrt(sum(x * x for x in q.coeffs)) + 1 for q in (a, b))
+    yield from filter(is_prime, count((2 * c * norm << min(a.degree, b.degree)) + 1))
 
 
 def poly_divexact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -226,9 +233,10 @@ def squarefree_pieces(q: IntPolynomial) -> Iterator[IntPolynomial]:
 
 # Primes below this are tried on Q itself; a repeated factor of Q can give
 # every prime a non-simple root, so from here on Q's squarefree part is used.
-# Peeling from the first prime on cost 113 µs a call against 49 µs on the
-# 320 Q of ten perfbench `queries` rounds (Python 3.11, shared 2-core host):
-# only 26 of them reach this prime, and the others need no gcd at all.
+# Peeling from the first prime on cost 42 µs a call against 25 µs on the
+# 320 Q of ten perfbench `queries` rounds of seed 1 (Python 3.11, shared
+# 2-core host, the gcd taken mod 2^61 - 1): only 31 of them reach this
+# prime, and the others need no gcd at all.
 _SQUAREFREE_FROM = 11
 
 

@@ -9,7 +9,7 @@ which evaluates at most one term per class.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator, NamedTuple
 
 from .errors import HasIntegerRootError, NotHenselPrimeError, ValuationOfZeroError, ZeroPolynomialError
@@ -70,11 +70,13 @@ def squarefree_descent(q: IntPolynomial, p: Prime
                        ) -> Iterator[tuple[int, int, int, IntPolynomial, list[int], list[int]]]:
     """padic.descent's nodes over each squarefree piece of q (poly.squarefree_pieces) in turn:
     valuations and slopes add over the pieces, and a piece's descent ends at a depth
-    independent of n.  A root node without a repeated root is q's whole descent."""
-    *_, repeated = root = next(descent(q, p))
-    if not repeated:
-        return iter((root,))
-    return (node for piece in squarefree_pieces(q) for node in descent(piece, p))
+    independent of n.  When q's root node has no repeated root, or q is its own one
+    piece, q's descent resumes after that root node, which a reader prunes as before."""
+    nodes = descent(q, p)
+    *_, repeated = root = next(nodes)
+    if repeated and (pieces := list(squarefree_pieces(q)))[1:]:
+        return (node for piece in pieces for node in descent(piece, p))
+    return chain((root,), nodes)
 
 
 def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[int, int, int, int]]:

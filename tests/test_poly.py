@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padicval import padic, poly
@@ -35,6 +35,15 @@ def divisor_roots(q):
         if c0 % d == 0:
             roots |= {e for e in (d, c0 // d) if reduced.evaluate(e) == 0}
     return roots
+
+
+def horner_substitute(q, a, b):
+    """Oracle: q(a*x + b) by Horner's rule over whole polynomial products."""
+    inner = IntPolynomial([b, a])
+    result = IntPolynomial()
+    for c in reversed(q.coeffs):
+        result = result * inner + IntPolynomial([c])
+    return result
 
 
 def euclid_over_q(a, b):
@@ -115,6 +124,22 @@ class TestAffineSubstitute:
     def test_pointwise(self, q, a, b, k):
         assert q.affine_substitute(a, b).evaluate(k) == q.evaluate(a * k + b)
 
+    @given(
+        q=st.lists(st.integers(-10**40, 10**40), max_size=41).map(IntPolynomial),
+        a=st.sampled_from([pv**e for pv in (2, 3, 5, 29) for e in range(51) if pv**e <= 3**50]),
+        b=st.integers(-10**30, 10**30),
+        k=st.integers(-10**6, 10**6),
+    )
+    @example(q=IntPolynomial(), a=1, b=0, k=0)
+    @example(q=IntPolynomial([7]), a=3**50, b=-10**30, k=-1)
+    @example(q=IntPolynomial([-10**40] * 41), a=3**50, b=10**30, k=10**6)
+    @settings(max_examples=150, deadline=None)
+    def test_large_against_horner(self, q, a, b, k):
+        # degree 0 to 40, coefficients to 10^40, a = p^e up to 3^50, b of either sign to 10^30
+        r = q.affine_substitute(a, b)
+        assert r.evaluate(k) == q.evaluate(a * k + b)
+        assert r == horner_substitute(q, a, b)
+
 
 class TestGcd:
     def test_example3(self):
@@ -169,9 +194,9 @@ class TestGcd:
         assert integer_poly_gcd(a, b) == euclid_over_q(a, b)
 
     def test_unlucky_prime_is_retried(self, monkeypatch):
-        # the bound 2 * 1 * 2^1 * (isqrt(2) + 1) = 8 puts the first prime at 11,
-        # where x + 12 is x + 1: the gcd mod 11 is x + 1, which does not
-        # divide x + 12 over Z, so 13 is tried next
+        # 2^61 - 1 goes first, where x + 2^61 is x + 1: the gcd mod 2^61 - 1 is
+        # x + 1, which does not divide x + 2^61 over Z, so the first prime past
+        # the bound 2 * 1 * 2^1 * (isqrt(2) + 1) = 8 is tried next, 11
         primes = []
 
         def spy(a, b, ell):
@@ -179,8 +204,23 @@ class TestGcd:
             return padic._gf_gcd(a, b, ell)
 
         monkeypatch.setattr(poly, "_gf_gcd", spy)
-        assert integer_poly_gcd(IntPolynomial([1, 1]), IntPolynomial([12, 1])) == IntPolynomial([1])
-        assert primes == [11, 13]
+        assert integer_poly_gcd(IntPolynomial([1, 1]), IntPolynomial([2**61, 1])) == IntPolynomial([1])
+        assert primes == [2**61 - 1, 11]
+
+    def test_small_squarefree_seeks_no_prime(self, monkeypatch):
+        # the gcd of (x+1)(x+2)(x+3)(2x+3) and its derivative is constant mod 2^61 - 1,
+        # so it is 1 there, and no prime past the bound is sought
+        tested = []
+
+        def counted(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(padic, "is_prime", counted)
+        monkeypatch.setattr(poly, "is_prime", counted)
+        q = IntPolynomial([1, 1]) * IntPolynomial([2, 1]) * IntPolynomial([3, 1]) * IntPolynomial([3, 2])
+        assert integer_poly_gcd(q, q.derivative()) == IntPolynomial([1])
+        assert tested == []
 
     @pytest.mark.parametrize("a, expected, tries", [
         # a coefficient past 2^61: the gcd is 1 mod 2^61 - 1, and no prime past the bound is sought

@@ -394,6 +394,15 @@ class TestDepthBound:
         assert len(nodes) > 300
         assert len(calls) == len(nodes)
 
+    def test_squarefree_root_node_taken_once(self, monkeypatch):
+        # (x+1)(x+6) is squarefree, but 4 is a double root mod 5: Q is its own one
+        # squarefree piece, so the walk resumes Q's descent after its root node
+        calls, walk = [], recurrence.descent
+        monkeypatch.setattr(recurrence, "descent", lambda *args: calls.append(args) or walk(*args))
+        spec = RecurrenceSpec(IntPolynomial([1, 1]) * IntPolynomial([6, 1]), 0)
+        assert valuation_tn(spec, P5, 1000) == valuation_tn_direct(spec, P5, 1000)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("q, pv, n", [(close_pair(2), 2, 10**6),
                                           (close_pair(3) * IntPolynomial([2, 1]), 3, 10**30)])
     def test_one_class_count_per_node_with_power(self, q, pv, n, monkeypatch):
