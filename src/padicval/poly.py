@@ -111,7 +111,7 @@ class IntPolynomial:
         """The polynomial R with R(k) = self(a*k + b), computed exactly: a Taylor shift to
         self(x + b) by repeated synthetic division, then coefficient i times a^i."""
         c, n = list(self.coeffs), len(self.coeffs)
-        for i in range(n - 1):  # pass i fixes c[i], the remainder of the (i+1)-th division by x - b
+        for i in range(n - 1):  # pass i leaves in c[i] the remainder of division i + 1 by x - b
             for j in range(n - 2, i - 1, -1):
                 c[j] += b * c[j + 1]
         return IntPolynomial(map(mul, c, accumulate(repeat(a), mul, initial=1)))

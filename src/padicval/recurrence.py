@@ -74,7 +74,7 @@ def squarefree_descent(q: IntPolynomial, p: Prime
     piece, q's descent resumes after that root node, which a reader prunes as before."""
     nodes = descent(q, p)
     *_, repeated = root = next(nodes)
-    if repeated and (pieces := list(squarefree_pieces(q)))[1:]:
+    if repeated and len(pieces := list(squarefree_pieces(q))) > 1:
         return (node for piece in pieces for node in descent(piece, p))
     return chain((root,), nodes)
 
