@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .padic import Prime, PrimeClassification, classify_prime, primes_first
 from .poly import IntPolynomial
-from .recurrence import RecurrenceSpec, squarefree_descent, valuation_blocks, valuation_tn
+from .recurrence import RecurrenceSpec, descent, valuation_blocks, valuation_tn
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -25,7 +25,7 @@ def exact_slope(q: IntPolynomial, p: Prime) -> Fraction:
     """Exact per-n slope E = lim valuation(t_n)/n, as a fraction.
 
     The limit of valuation_tn's walk over the same nodes, those of
-    recurrence.squarefree_descent, with densities for window counts: a node
+    recurrence.descent, with densities for window counts: a node
     at depth d holds 1/p^d of the indices, so its stripped power p^m adds
     m/p^d and each simple root adds 1/((p-1)p^d).  A squarefree piece's
     descent ends, unlike that of a factor repeated over Z: an endless residue
@@ -33,7 +33,7 @@ def exact_slope(q: IntPolynomial, p: Prime) -> Fraction:
     """
     from fractions import Fraction
     return sum((m + Fraction(len(simple), p.value - 1)) / a
-               for a, _, m, _, simple, _ in squarefree_descent(q, p))
+               for a, _, m, _, simple, _ in descent(q, p))
 
 
 def asymptotic_zero_number(q: IntPolynomial, p: Prime) -> Fraction:

@@ -1,9 +1,8 @@
 """Prime-level primitives.
 
 Integer valuations, base-p digit sums, the factorial-valuation formula,
-roots of a polynomial mod p, Hensel-zero classification, Hensel lifting by
-Newton's iteration, and the nodes of the p-adic descent.  Residues
-are canonicalized to [0, p-1] throughout.
+roots of a polynomial mod p, Hensel-zero classification, and Hensel lifting
+by Newton's iteration.  Residues are canonicalized to [0, p-1] throughout.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import enum
 import math
 from itertools import compress, islice
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import (
     NotARootError,
@@ -509,33 +508,3 @@ def hensel_lift(q: IntPolynomial, p: Prime, a: int, k: int) -> int:
         m = pv ** ((k >> i) + 1)
         a = (a - q.evaluate_mod(a, m) * pow(dq.evaluate_mod(a, m), -1, m)) % m
     return a
-
-
-# -- the p-adic descent ---------------------------------------------------
-
-
-def descent(
-    q: IntPolynomial, p: Prime
-) -> Iterator[tuple[int, int, int, IntPolynomial, list[int], list[int]]]:
-    """The nodes of the p-adic descent of q, depth first, as (A, B, m, R, simple, repeated).
-
-    A node is the class i = A*k + B (A = p^depth, 0 <= B < A), where
-    q(A*k + B) is p^m * R(k) times the powers stripped above it and R is
-    not 0 mod p.  Its roots mod p are classify_prime(R, p)'s, split into
-    simple and repeated (non-simple) ones.  When the reader resumes, the
-    descent continues with R(p*k + b) for each root b still in repeated,
-    so a reader prunes a child by removing its root.
-    """
-    pv = p.value
-    stack = [(q, 1, 0)]  # (R, A, B) with 0 <= B < A
-    while stack:
-        r, a, b = stack.pop()
-        m = int_valuation(r.content(), p)
-        if m:  # p^m divides every coefficient of r: m is the valuation of its content
-            pm = pv**m
-            r = type(r)(c // pm for c in r.coeffs)
-        cls = classify_prime(r, p)
-        repeated = list(cls.non_hensel_roots)
-        simple = [x for x in cls.roots if x not in repeated]
-        yield a, b, m, r, simple, repeated
-        stack += [(r.affine_substitute(pv, x), a * pv, a * x + b) for x in repeated]

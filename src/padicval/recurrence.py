@@ -3,17 +3,17 @@
 The sequence itself is never materialized (it has Theta(n log n) digits);
 every engine works on per-term valuations.  The direct engine is the
 oracle: evaluate Q at each index and strip powers of p.  Everything else
-reads one walk of the p-adic descent over the window's residue classes,
-which evaluates at most one term per class.
+reads one walk of the p-adic descent (descent, below) over the window's
+residue classes, which evaluates at most one term per class.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .errors import HasIntegerRootError, NotHenselPrimeError, ValuationOfZeroError, ZeroPolynomialError
-from .padic import Prime, classify_prime, descent, hensel_digit, int_valuation
+from .padic import Prime, classify_prime, hensel_digit, int_valuation
 from .poly import IntPolynomial, nonneg_integer_roots, squarefree_pieces
 
 
@@ -66,25 +66,44 @@ def valuation_tn_direct(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     return total
 
 
-def squarefree_descent(q: IntPolynomial, p: Prime
-                       ) -> Iterator[tuple[int, int, int, IntPolynomial, list[int], list[int]]]:
-    """padic.descent's nodes over each squarefree piece of q (poly.squarefree_pieces) in turn:
-    valuations and slopes add over the pieces, and a piece's descent ends at a depth
-    independent of n.  When q's root node has no repeated root, or q is its own one
-    piece, q's descent resumes after that root node, which a reader prunes as before."""
-    nodes = descent(q, p)
-    *_, repeated = root = next(nodes)
-    if repeated and len(pieces := list(squarefree_pieces(q))) > 1:
-        return (node for piece in pieces for node in descent(piece, p))
-    return chain((root,), nodes)
+def descent(q: IntPolynomial, p: Prime
+            ) -> Iterator[tuple[int, int, int, IntPolynomial, list[int], list[int]]]:
+    """The nodes of the p-adic descent of q, depth first, as (A, B, m, R, simple, repeated).
+
+    A node is the class i = A*k + B (A = p^depth, 0 <= B < A), where q(A*k + B) is
+    p^m * R(k) times the powers stripped above it and R is not 0 mod p.  Its roots
+    mod p are classify_prime(R, p)'s, split into simple and repeated (non-simple)
+    ones.  When the reader resumes, the descent continues with R(p*k + b) for each
+    root b still in repeated, so a reader prunes a child by removing its root.
+    When q's root node has a repeated root and q has two or more squarefree
+    pieces (poly.squarefree_pieces), their descents replace that node, one after
+    another, and nothing is peeled again: valuations and slopes add over the
+    pieces, and a piece's descent ends at a depth independent of n.
+    """
+    pv = p.value
+    stack, peel = [(q, 1, 0)], True  # (R, A, B) with 0 <= B < A; only q's root node is peeled
+    while stack:
+        r, a, b = stack.pop()
+        m = int_valuation(r.content(), p)
+        if m:  # p^m divides every coefficient of r: m is the valuation of its content
+            pm = pv**m
+            r = IntPolynomial(c // pm for c in r.coeffs)
+        cls = classify_prime(r, p)
+        repeated = list(cls.non_hensel_roots)
+        if peel and repeated and len(pieces := list(squarefree_pieces(q))) > 1:
+            stack = [(piece, 1, 0) for piece in reversed(pieces)]  # the first piece pops first
+        else:
+            yield a, b, m, r, [x for x in cls.roots if x not in repeated], repeated
+            stack += [(r.affine_substitute(pv, x), a * pv, a * x + b) for x in repeated]
+        peel = False
 
 
 def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[int, int, int, int]]:
     """The walk behind valuation_tn, class by class, as (A, B, w, c): each
     of the c window indices i = B mod A gains w (0 <= B < A).
 
-    It reads the nodes of squarefree_descent, one squarefree piece P of Q
-    after another: R(k) = P(A*k + B) / p^c on the k with n0 < A*k + B <=
+    It reads the nodes of descent(Q, p), one squarefree piece P of Q after
+    another: R(k) = P(A*k + B) / p^c on the k with n0 < A*k + B <=
     n0 + n, whose stripped power p^m counts once per index of its class.
     Each root of a node gets one floor pair: its class, the k = gamma mod
     p^s, holds the indices with below < (k - gamma) / p^s <= top.  A
@@ -98,7 +117,7 @@ def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[in
     if n < 1:
         raise ValueError("n must be >= 1")
     pv, lo = p.value, spec.start_index
-    for a, b, m, r, simple, repeated in squarefree_descent(spec.poly, p):
+    for a, b, m, r, simple, repeated in descent(spec.poly, p):
         if m:
             yield a, b, m, count_congruent(n, b, a, lo)
         for gamma in simple + repeated:  # gamma is the root mod p^s
@@ -124,9 +143,9 @@ def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[in
 def valuation_tn(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     """Exact valuation at any prime: the weights of residue_classes, summed.
 
-    The walk reads each squarefree piece of Q, whose descent ends at a depth
-    independent of n, and prunes it to log_p(n0 + n) + 1 levels, the classes
-    of two or more window indices.  A zero multiplier raises ValuationOfZeroError.
+    The walk reads descent's nodes, one squarefree piece of Q at a time, whose descent
+    ends at a depth independent of n, and prunes them to log_p(n0 + n) + 1 levels, the
+    classes of two or more window indices.  A zero multiplier raises ValuationOfZeroError.
     """
     return sum(w * c for _, _, w, c in residue_classes(spec, p, n))
 

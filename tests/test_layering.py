@@ -1,6 +1,6 @@
 """Only the command-line front end formats output, the package is
-stdlib-only and runs in one process, and importing the front end loads
-only what every command needs.
+stdlib-only and runs in one process, its modules load in one direction,
+and importing the front end loads only what every command needs.
 
 The library modules return values; cli.py alone turns them into csv, json
 or table text, so it is the only module that imports json or csv.  A
@@ -40,6 +40,31 @@ def test_imports_are_relative_or_stdlib_and_start_no_process():
         imported = _imported_modules(path)
         assert imported <= sys.stdlib_module_names, (path.name, imported - sys.stdlib_module_names)
         assert not imported & {"concurrent", "multiprocessing"}, path.name
+
+
+# a module imports, at run time, only modules before it here
+LAYERS = ["errors", "padic", "poly", "parser", "recurrence", "analysis", "reproduce", "cli"]
+
+
+def _runtime_sibling_imports(path: pathlib.Path) -> set[str]:
+    """The package's modules that `path` imports when it runs: not those under `if TYPE_CHECKING:`."""
+    names, todo = set(), [ast.parse(path.read_text(), str(path))]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            todo += node.orelse
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+        todo += ast.iter_child_nodes(node)
+    return names
+
+
+def test_modules_import_only_earlier_layers():
+    assert {path.stem for path in SRC.glob("*.py")} - {"__init__", "__main__"} == set(LAYERS)
+    for i, name in enumerate(LAYERS):
+        later = _runtime_sibling_imports(SRC / f"{name}.py") - set(LAYERS[:i])
+        assert not later, (name, later)
 
 
 def test_no_module_imports_dataclasses():

@@ -3,20 +3,20 @@ import os
 import random
 import subprocess
 import sys
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicval import padic, recurrence
+from padicval import recurrence
 from padicval.analysis import error_series
 from padicval.cli import main
 
 from padicval.errors import HasIntegerRootError, NotHenselPrimeError, ZeroPolynomialError
 from padicval.padic import Prime, Verdict, classify_prime, digit_sum, int_valuation, is_prime
-from padicval.poly import IntPolynomial
+from padicval.poly import IntPolynomial, squarefree_pieces
 from padicval.recurrence import (
     RecurrenceSpec,
     count_congruent,
@@ -379,9 +379,41 @@ class TestDepthBound:
         assert valuation_tn(RecurrenceSpec(Q3, n0), P2, n) == expected
 
     def test_one_valuation_per_node(self, monkeypatch):
-        # the node's power of p is the valuation of R's content, not of each coefficient
+        # the node's power of p is the valuation of R's content, not of each coefficient;
+        # the walk's one-index exits also call int_valuation, so only the calls made
+        # while the descent advances count
+        nodes, calls, advancing = [], [], [False]
+        walk, valuation = recurrence.descent, recurrence.int_valuation
+
+        def spy(*args):
+            node_source = walk(*args)
+            while True:
+                advancing[0] = True
+                node = next(node_source, None)
+                advancing[0] = False
+                if node is None:
+                    return
+                nodes.append(node)
+                yield node
+
+        def counted(*args):
+            if advancing[0]:
+                calls.append(args)
+            return valuation(*args)
+
+        monkeypatch.setattr(recurrence, "descent", spy)
+        monkeypatch.setattr(recurrence, "int_valuation", counted)
+        valuation_tn(make_spec(close_pair(2)), P2, 10**100)
+        assert len(nodes) > 300
+        assert len(calls) == len(nodes)
+
+    def test_squarefree_root_node_taken_once(self, monkeypatch):
+        # (x+1)(x+6) is squarefree, but 4 is a double root mod 5: Q is its own one
+        # squarefree piece, so the descent goes on below its root node, one
+        # classification per node.  Q3 is peeled: its own root node is classified
+        # once, then replaced by its pieces' nodes
         nodes, calls = [], []
-        walk, valuation = recurrence.descent, padic.int_valuation
+        walk, classify = recurrence.descent, recurrence.classify_prime
 
         def spy(*args):
             for node in walk(*args):
@@ -389,19 +421,14 @@ class TestDepthBound:
                 yield node
 
         monkeypatch.setattr(recurrence, "descent", spy)
-        monkeypatch.setattr(padic, "int_valuation", lambda *args: calls.append(args) or valuation(*args))
-        valuation_tn(make_spec(close_pair(2)), P2, 10**100)
-        assert len(nodes) > 300
-        assert len(calls) == len(nodes)
-
-    def test_squarefree_root_node_taken_once(self, monkeypatch):
-        # (x+1)(x+6) is squarefree, but 4 is a double root mod 5: Q is its own one
-        # squarefree piece, so the walk resumes Q's descent after its root node
-        calls, walk = [], recurrence.descent
-        monkeypatch.setattr(recurrence, "descent", lambda *args: calls.append(args) or walk(*args))
-        spec = RecurrenceSpec(IntPolynomial([1, 1]) * IntPolynomial([6, 1]), 0)
-        assert valuation_tn(spec, P5, 1000) == valuation_tn_direct(spec, P5, 1000)
-        assert len(calls) == 1
+        monkeypatch.setattr(recurrence, "classify_prime", lambda *args: calls.append(args) or classify(*args))
+        for q, pv, expected in [(IntPolynomial([1, 1]) * IntPolynomial([6, 1]), 5, (2, 2)),
+                                (Q3, 2, (2, 3)), (Q3, 5, (3, 4))]:
+            nodes.clear()
+            calls.clear()
+            spec = RecurrenceSpec(q, 0)
+            assert valuation_tn(spec, Prime(pv), 1000) == valuation_tn_direct(spec, Prime(pv), 1000)
+            assert (len(nodes), len(calls)) == expected, (q, pv)
 
     @pytest.mark.parametrize("q, pv, n", [(close_pair(2), 2, 10**6),
                                           (close_pair(3) * IntPolynomial([2, 1]), 3, 10**30)])
@@ -440,6 +467,70 @@ class TestDepthBound:
             valuation_tn(make_spec(q), Prime(pv), n)
             per_n.append(len(nodes))
         assert per_n[0] == per_n[1]
+
+
+def two_generator_descent(q, p):
+    """Oracle: the descent as two generators, one polynomial's tree and the squarefree peel,
+    which takes the tree's root node and resumes it when it peels nothing."""
+    def tree(q):
+        pv = p.value
+        stack = [(q, 1, 0)]
+        while stack:
+            r, a, b = stack.pop()
+            m = int_valuation(r.content(), p)
+            if m:
+                r = IntPolynomial(c // pv**m for c in r.coeffs)
+            cls = classify_prime(r, p)
+            repeated = list(cls.non_hensel_roots)
+            yield a, b, m, r, [x for x in cls.roots if x not in repeated], repeated
+            stack += [(r.affine_substitute(pv, x), a * pv, a * x + b) for x in repeated]
+
+    nodes = tree(q)
+    *_, repeated = root = next(nodes)
+    if repeated and len(pieces := list(squarefree_pieces(q))) > 1:
+        return (node for piece in pieces for node in tree(piece))
+    return chain((root,), nodes)
+
+
+@st.composite
+def repeated_factor_products(draw):
+    """(q, p): c times one to three linear or quadratic factors, each squared or cubed, or
+    each taken once, so that Q may be its own one squarefree piece; c is 1, -1, 2, p or p^2.
+    A further factor may sit on the first one's root mod p."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    factor = st.lists(st.integers(-20, 20), min_size=2, max_size=3).map(IntPolynomial).filter(
+        lambda f: f.degree >= 1)
+    power = st.just(1) if draw(st.booleans()) else st.integers(2, 3)
+    factors = draw(st.lists(st.tuples(factor, power), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        f, _ = factors[0]
+        factors.append((f + IntPolynomial([p * draw(st.integers(-3, 3))]), draw(power)))
+    q = IntPolynomial([draw(st.sampled_from((1, -1, 2, p, p * p)))])
+    for f, e in factors:
+        for _ in range(e):
+            q = q * f
+    return q, Prime(p)
+
+
+class TestDescent:
+    @staticmethod
+    def read(nodes, prune):
+        """The nodes as plain values, read by a reader that prunes every child or none.
+        At most 1000 nodes: a descent that skipped the peel would not end on a factor
+        repeated over Z, where both forms end within a few dozen."""
+        seen = []
+        for a, b, m, r, simple, repeated in islice(nodes, 1000):
+            seen.append((a, b, m, r.coeffs, list(simple), list(repeated)))
+            if prune:
+                repeated.clear()
+        return seen
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_factor_products())
+    def test_matches_two_generator_form(self, case):
+        q, p = case
+        for prune in (False, True):
+            assert self.read(recurrence.descent(q, p), prune) == self.read(two_generator_descent(q, p), prune)
 
 
 class TestBlocks:
