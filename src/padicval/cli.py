@@ -58,13 +58,15 @@ class Answer(NamedTuple):
     """A command's answer for each format: the json payload, where a callable
     yields a list's items json-encoded in non-empty blocks; the csv header
     and rows, in blocks of equally long columns; the table text or, if it
-    is empty, the template of one table row."""
+    is empty, the template of one table row; and the exit code, 1 when a
+    reproduced claim fails."""
 
     payload: object
     header: Iterable[str] = ()
     blocks: Iterable[Sequence[Sequence]] = ()
     table: str = ""
     row: str = ""
+    code: int = 0
 
 
 def _write_json(out: TextIO, value) -> None:
@@ -119,7 +121,8 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _add_common(sub, poly=True, prime=True):
+def _add_common(sub, run: Callable[..., Answer], poly=True, prime=True):
+    sub.set_defaults(run=run)
     if poly:
         sub.add_argument("--poly", type=_poly_arg, required=True, help="polynomial in x, e.g. 'x^5+2*x^3+3'")
     if prime:
@@ -137,48 +140,48 @@ def build_parser() -> argparse.ArgumentParser:
     positive = functools.partial(_int, low=1)
 
     s = sp.add_parser("roots", help="roots of Q mod p")
-    _add_common(s)
+    _add_common(s, _cmd_roots)
 
     s = sp.add_parser("classify", help="Hensel classification of (Q, p)")
-    _add_common(s)
+    _add_common(s, _cmd_classify)
 
     s = sp.add_parser("lift", help="lift a simple root mod p to higher precision")
-    _add_common(s)
+    _add_common(s, _cmd_lift)
     s.add_argument("--root", type=_int, required=True, help="base residue mod p")
     s.add_argument("--precision", type=functools.partial(_int, low=0), default=8,
                    help="extra digits k; result is exact mod p^(k+1)")
     s.set_defaults(usage_error=s.error)  # _cmd_lift's bound on --precision reads under lift's usage
 
     s = sp.add_parser("valuation", help="valuation of t_n")
-    _add_common(s)
+    _add_common(s, _cmd_valuation)
     s.add_argument("--n", type=positive, required=True)
-    s.add_argument("--engine", choices=("auto", "fast", "direct"), default="auto")
+    s.add_argument("--engine", choices=_ENGINES, default="auto")
     s.add_argument("--no-auto-shift", action="store_true")
 
     s = sp.add_parser("series", help="valuations of t_1 .. t_N")
-    _add_common(s)
+    _add_common(s, _cmd_series)
     s.add_argument("--n-max", type=positive, required=True)
     s.add_argument("--no-auto-shift", action="store_true")
 
     s = sp.add_parser("slope", help="asymptotic slope and zero number")
-    _add_common(s)
+    _add_common(s, _cmd_slope)
     s.add_argument("--exact", action="store_true", help="accepted; the slope is always exact")
     s.add_argument("--n", type=positive, help="also report the finite-n empirical slope")
 
     s = sp.add_parser("errors", help="normalized and relative error series")
-    _add_common(s)
+    _add_common(s, _cmd_errors)
     s.add_argument("--n-max", type=positive, required=True)
     s.add_argument("--no-auto-shift", action="store_true")
 
     s = sp.add_parser("scan", help="classify Q at the first N primes")
-    _add_common(s, prime=False)
+    _add_common(s, _cmd_scan, prime=False)
     s.add_argument("--count", type=positive, required=True)
 
     s = sp.add_parser("reproduce", help="recompute the worked-example claims")
     s.add_argument("selector", choices=sorted(reproduce.SELECTORS) + ["all"])
     s.add_argument("--scan-count", type=positive, default=5000)
     s.add_argument("--out", metavar="PATH")
-    s.set_defaults(format="table")
+    s.set_defaults(run=_cmd_reproduce, format="table")
 
     return ap
 
@@ -247,7 +250,7 @@ def _make_spec(args) -> recurrence.RecurrenceSpec:
     return recurrence.make_spec(args.poly, auto_shift=not getattr(args, "no_auto_shift", False))
 
 
-# Engine names in recurrence, looked up per call so that a patched engine is the one that runs.
+# The --engine choices and their names in recurrence, looked up per call so that a patched engine runs.
 _ENGINES = {"auto": "valuation_tn", "fast": "valuation_tn_fast", "direct": "valuation_tn_direct"}
 
 
@@ -298,33 +301,18 @@ def _cmd_scan(args) -> Answer:
     return Answer(encoded, _CLASSIFICATION_HEADER, blocks, row="%s %s roots=%s non_hensel=%s\n")
 
 
-def _cmd_reproduce(args) -> tuple[Answer, int]:
+def _cmd_reproduce(args) -> Answer:
     claims = reproduce.run(args.selector, scan_count=args.scan_count)
     passed = sum(ok for _, ok in claims)
     lines = [("PASS " if ok else "FAIL ") + name for name, ok in claims]
     lines.append(f"{passed}/{len(claims)} claims pass")
-    return Answer(None, table="\n".join(lines) + "\n"), 0 if passed == len(claims) else 1
-
-
-_DISPATCH = {
-    "roots": _cmd_roots,
-    "classify": _cmd_classify,
-    "lift": _cmd_lift,
-    "valuation": _cmd_valuation,
-    "series": _cmd_series,
-    "slope": _cmd_slope,
-    "errors": _cmd_errors,
-    "scan": _cmd_scan,
-}
+    return Answer(None, table="\n".join(lines) + "\n", code=0 if passed == len(claims) else 1)
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "reproduce":
-            answer, code = _cmd_reproduce(args)
-        else:
-            answer, code = _DISPATCH[args.command](args), 0
+        answer = args.run(args)
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
             _write(out, args.format, answer)
     except (PadicValError, OSError, ValueError) as e:
@@ -335,7 +323,7 @@ def main(argv=None) -> int:
                  "Python's limit for printing one; PYTHONINTMAXSTRDIGITS=0 lifts the limit")
         print(f"error: {e}", file=sys.stderr)
         return 1
-    return code
+    return answer.code
 
 
 if __name__ == "__main__":

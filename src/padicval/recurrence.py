@@ -137,7 +137,9 @@ def residue_classes(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[tuple[in
                 below, top = (below - d) // pv, (top - d) // pv
             if c:  # its one index k = gamma mod p^s gains v_p(R(k)) - s + 1 more
                 k = (below + 1) * ps + gamma
-                yield a * ps, a * gamma + b, int_valuation(r.evaluate(k) // ps, p) + 1, 1
+                if not (v := r.evaluate(k)):
+                    raise ValuationOfZeroError(f"the multiplier Q({a * k + b}) is 0")
+                yield a * ps, a * gamma + b, int_valuation(v // ps, p) + 1, 1
 
 
 def valuation_tn(spec: RecurrenceSpec, p: Prime, n: int) -> int:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -75,6 +76,16 @@ class TestLift:
     @pytest.mark.parametrize("digits", [1, 30, 4300])
     @pytest.mark.parametrize("p", [2, 5, 10, 97, 10007, 2**61 - 1])
     def test_precision_bound_arithmetic(self, p, digits):
+        k = cli.max_lift_precision(p, digits)
+        assert p ** (k + 1) < 10**digits <= p ** (k + 2)
+
+    @pytest.mark.parametrize("skew", [1.01, 0.99])
+    @pytest.mark.parametrize("digits", [1, 50, 4300])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 10007])
+    def test_precision_bound_corrects_the_float_estimate(self, monkeypatch, p, digits, skew):
+        # a log10 1% high puts the float estimate below k, 1% low puts it above k
+        log10 = math.log10
+        monkeypatch.setattr(math, "log10", lambda x: log10(x) * skew)
         k = cli.max_lift_precision(p, digits)
         assert p ** (k + 1) < 10**digits <= p ** (k + 2)
 
@@ -465,6 +476,16 @@ class TestReproduce:
             counts[selector] = len(out.splitlines()) - 1
         assert counts == {"example1": 4, "example2": 9, "example3": 10, "example4": 18,
                           "legendre": 10, "xp_pm1": 10, "all": 61}
+
+    def test_a_failing_claim_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setitem(reproduce.SELECTORS, "example1",
+                            lambda: [("a claim that holds", True), ("a claim that fails", False)])
+        code, out, _ = run(capsys, "reproduce", "example1")
+        assert code == 1
+        assert out == "PASS a claim that holds\nFAIL a claim that fails\n1/2 claims pass\n"
+        code, out, _ = run(capsys, "reproduce", "all", "--scan-count", "50")
+        assert code == 1
+        assert out.startswith("PASS a claim that holds\nFAIL a claim that fails\n")
 
     @pytest.mark.parametrize("count, primes", [("5", "{3, 11}"), ("9", "{3, 11}")])
     def test_short_scan_claims_the_primes_it_reaches(self, capsys, count, primes):

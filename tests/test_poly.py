@@ -133,6 +133,7 @@ class TestAffineSubstitute:
     @example(q=IntPolynomial(), a=1, b=0, k=0)
     @example(q=IntPolynomial([7]), a=3**50, b=-10**30, k=-1)
     @example(q=IntPolynomial([-10**40] * 41), a=3**50, b=10**30, k=10**6)
+    @example(q=IntPolynomial([3001, 0, 5, -7]), a=3001, b=0, k=-2)  # b = 0 takes no synthetic division
     @settings(max_examples=150, deadline=None)
     def test_large_against_horner(self, q, a, b, k):
         # degree 0 to 40, coefficients to 10^40, a = p^e up to 3^50, b of either sign to 10^30
@@ -347,6 +348,11 @@ class TestDivexact:
     def test_not_exact(self):
         with pytest.raises(ValueError):
             poly_divexact(Q1, IntPolynomial([1, 1, 1]))
+
+    def test_leading_coefficient_does_not_divide(self):
+        # the first quotient coefficient, 1/2, is not an integer
+        with pytest.raises(ValueError, match=r"^2\*x\+1 does not divide x\+1 exactly$"):
+            poly_divexact(IntPolynomial([1, 1]), IntPolynomial([1, 2]))
 
 
 class TestFormat:

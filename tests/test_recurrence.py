@@ -14,7 +14,7 @@ from padicval import recurrence
 from padicval.analysis import error_series
 from padicval.cli import main
 
-from padicval.errors import HasIntegerRootError, NotHenselPrimeError, ZeroPolynomialError
+from padicval.errors import HasIntegerRootError, NotHenselPrimeError, ValuationOfZeroError, ZeroPolynomialError
 from padicval.padic import Prime, Verdict, classify_prime, digit_sum, int_valuation, is_prime
 from padicval.poly import IntPolynomial, squarefree_pieces
 from padicval.recurrence import (
@@ -217,6 +217,34 @@ class TestTree:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=30, env={**os.environ, "PYTHONPATH": src})
         assert done.stdout == "raised\n", done.stderr
+
+    @staticmethod
+    def zero_raisers(spec, p, n):
+        """Every engine and series reader, each as a call that reads t_n's window."""
+        return [lambda: valuation_tn_direct(spec, p, n), lambda: valuation_tn(spec, p, n),
+                lambda: next(valuation_series(spec, p, n)), lambda: max_power_index(spec, p, n),
+                lambda: next(error_series(spec, p, n, 1))]
+
+    @pytest.mark.parametrize("pv", [2, 3, 5])
+    @pytest.mark.parametrize("q, zero", [
+        (IntPolynomial([-3, 1]), 3),
+        (IntPolynomial([9, -6, 1]), 3),  # (x-3)^2: each of its two squarefree pieces is x-3
+        (IntPolynomial([-20000, 1]), 20000),
+    ])
+    def test_zero_multiplier_is_named(self, q, zero, pv):
+        # the walk's one-index exit names the index, as the oracle does
+        for call in self.zero_raisers(RecurrenceSpec(q, 0), Prime(pv), 30000):
+            with pytest.raises(ValuationOfZeroError, match=rf"^the multiplier Q\({zero}\) is 0$"):
+                call()
+
+    @pytest.mark.parametrize("pv", [2, 3, 5])
+    def test_first_of_two_zeros_walked_is_named(self, pv):
+        q = IntPolynomial([-3, 1]) * IntPolynomial([-7, 1])  # the walk may reach 7 before 3
+        for call in self.zero_raisers(RecurrenceSpec(q, 0), Prime(pv), 30000):
+            with pytest.raises(ValuationOfZeroError) as e:
+                call()
+            i = int(str(e.value).removeprefix("the multiplier Q(").removesuffix(") is 0"))
+            assert q.evaluate(i) == 0
 
     def test_p_divides_content(self):
         spec = make_spec(IntPolynomial([3, 0, 3]))  # 3(x^2+1); x^2+1 has no root mod 3
