@@ -121,10 +121,9 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _add_common(sub, run: Callable[..., Answer], poly=True, prime=True):
+def _add_common(sub, run: Callable[..., Answer], prime=True):
     sub.set_defaults(run=run)
-    if poly:
-        sub.add_argument("--poly", type=_poly_arg, required=True, help="polynomial in x, e.g. 'x^5+2*x^3+3'")
+    sub.add_argument("--poly", type=_poly_arg, required=True, help="polynomial in x, e.g. 'x^5+2*x^3+3'")
     if prime:
         sub.add_argument("--prime", type=_prime_arg, required=True)
     sub.add_argument("--format", choices=("csv", "json", "table"), default="table")

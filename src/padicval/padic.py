@@ -61,12 +61,15 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _odd_part(x: int) -> tuple[int, int]:
+    """(d, s) with x = d * 2^s and d odd, for x > 0."""
+    s = (x & -x).bit_length() - 1
+    return x >> s, s
+
+
 def _strong_probable_prime_base2(n: int) -> bool:
     """Miller-Rabin to base 2, for odd n > 2."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = _odd_part(n - 1)
     x = pow(2, d, n)
     if x in (1, n - 1):
         return True
@@ -90,10 +93,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return False
         D = -D - 2 if D > 0 else -D + 2
     Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = _odd_part(n + 1)
 
     def halve(x: int) -> int:
         return (x + n if x % 2 else x) // 2
@@ -153,11 +153,11 @@ def primes_first(count: int) -> list[Prime]:
     if count <= 0:
         return []
     # p_k < k (ln k + ln ln k) for k >= 6 (Rosser and Schoenfeld, Illinois J.
-    # Math. 6, 1962), so one sieve to this limit holds `count` primes
-    if count < 6:
-        limit = 15
-    else:
-        limit = int(count * (math.log(count) + math.log(math.log(count)))) + 10
+    # Math. 6, 1962); with b = k.bit_length(), ln k < b ln 2 <= ceil(0.7 b) and
+    # ln ln k < log2 b < b.bit_length(), and the 10 covers k < 6, so one sieve
+    # to this limit holds `count` primes
+    b = count.bit_length()
+    limit = count * (-(-7 * b // 10) + b.bit_length()) + 10
     try:
         sieve = bytearray([1]) * (limit + 1)
     except (OverflowError, MemoryError):
@@ -165,7 +165,7 @@ def primes_first(count: int) -> list[Prime]:
             f"cannot list the first {count} primes: their sieve of {limit + 1} bytes does not fit in memory"
         ) from None
     sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
+    for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [Prime._proven(i) for i in islice(compress(range(limit + 1), sieve), count)]
@@ -203,8 +203,6 @@ def digit_sum(n: int, p: Prime) -> int:
 
 def legendre_factorial_valuation(n: int, p: Prime) -> int:
     """Valuation of n! at p via (n - digit_sum(n)) / (p - 1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     num = n - digit_sum(n, p)
     q, r = divmod(num, p.value - 1)
     assert r == 0
@@ -332,10 +330,7 @@ def _sqrt_mod(a: int, p: int) -> int:
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
     # Tonelli-Shanks with p - 1 = q * 2^s, q odd, and z a non-residue
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
+    q, s = _odd_part(p - 1)
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1

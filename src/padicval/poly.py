@@ -120,10 +120,7 @@ class IntPolynomial:
 
     def content(self) -> int:
         """gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def primitive_part(self) -> "IntPolynomial":
         """self divided by its content, leading coefficient made positive."""

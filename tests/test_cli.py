@@ -442,6 +442,11 @@ class TestScan:
     @pytest.mark.parametrize("argv", [
         ("scan", "--poly", "x", "--count", str(10**20)),
         ("reproduce", "example2", "--scan-count", str(10**20)),
+        # past a float's range: the sieve's bound is an integer, never a float
+        ("scan", "--poly", "x", "--count", str(10**306)),
+        ("reproduce", "example2", "--scan-count", str(10**306)),
+        ("scan", "--poly", "x", "--count", str(10**4000)),
+        ("reproduce", "example2", "--scan-count", str(10**4000)),
     ])
     def test_huge_count_is_domain_error(self, capsys, argv):
         # the sieve's size does not fit in an index, so nothing is allocated
@@ -449,6 +454,7 @@ class TestScan:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(10**20) in err and "Traceback" not in err
+        assert f"the first {argv[-1]} primes" in err
 
     def test_deterministic(self, capsys):
         a = run(capsys, "scan", "--poly", "x^5+2x^3+3", "--count", "50", "--format", "json")
@@ -658,6 +664,9 @@ _POLY_TEXT = st.one_of(
     .map(lambda c: format_poly(IntPolynomial(c))),
     st.sampled_from(["0", "7", "3x^2+3", "x^5+2x^3+3", "x^2 + 1", "-x", "5x^2+35x+30"]),
 )
+# A count from 10^18 on asks for a sieve past sys.maxsize bytes, which bytearray refuses
+# before allocating; from 10^6 to 10^17 the sieve would really be allocated, gigabytes of it.
+_HUGE_COUNT = st.integers(18, 4000).map(lambda e: str(10**e))
 _COMMON = [("--poly", _POLY_TEXT, True),
            ("--prime", st.sampled_from(["2", "3", "5", "7", "11", "29", "97", "1000003"]), True),
            ("--format", st.sampled_from(["csv", "json", "table"]), False)]
@@ -672,7 +681,7 @@ _GRAMMAR = {
     "series": _COMMON + [("--n-max", _ints(-2, 200), True), ("--no-auto-shift", None, False)],
     "slope": _COMMON + [("--exact", None, False), ("--n", _ints(-2, 10**4), False)],
     "errors": _COMMON + [("--n-max", _ints(-2, 200), True), ("--no-auto-shift", None, False)],
-    "scan": [_COMMON[0], _COMMON[2], ("--count", _ints(-2, 50), True)],
+    "scan": [_COMMON[0], _COMMON[2], ("--count", st.one_of(_ints(-2, 50), _HUGE_COUNT), True)],
     "reproduce": [],
 }
 _JUNK = ["(bad", "", "x^", "x^1.5", "2x^-1", "-5", "0", "6", "abc", "xml", "--bogus"]
@@ -694,7 +703,8 @@ def cli_draws(draw):
         k = draw(st.integers(1, len(argv) - 1))
         argv[k:k + 1] = draw(st.sampled_from([[], *([junk] for junk in _JUNK)]))
     if command == "reproduce":
-        argv.append(f"--scan-count={draw(st.integers(1, 50))}")  # the default 5000 takes seconds
+        # the default 5000 takes seconds
+        argv.append(f"--scan-count={draw(st.one_of(_ints(1, 50), _HUGE_COUNT))}")
     return argv
 
 

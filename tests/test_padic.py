@@ -185,6 +185,27 @@ class TestPrime:
         assert ps[-1].value == 48611
         assert [p.value for p in ps] == [p for p in range(48612) if is_prime(p)]
         assert ps[:3] == [Prime(2), Prime(3), Prime(5)]
+        # every count to 2000: the sieve's bound below k = 6 and at each power of two
+        flags = sieve(17390)  # p_2000 = 17389
+        reference_primes = [n for n in range(17390) if flags[n]]
+        for count in range(1, 2001):
+            assert [p.value for p in primes_first(count)] == reference_primes[:count], count
+
+    def test_odd_part_against_the_loop(self):
+        def loop(x):
+            d, s = x, 0
+            while d % 2 == 0:
+                d //= 2
+                s += 1
+            return d, s
+
+        for x in range(1, 10**4 + 1):
+            assert padic._odd_part(x) == loop(x), x
+        for m in (1, 3, 5**40 + 2, 2**64 - 1):
+            for k in range(4001):
+                assert padic._odd_part(m << k) == (m, k), (m, k)
+            for k in (0, 1, 63, 64, 65, 4000):
+                assert loop(m << k) == (m, k)
 
     def test_pickles_and_has_no_dict(self):
         # a Prime pickles; slots keep small the list of 5000 Primes that a scan holds
@@ -229,6 +250,10 @@ class TestLegendre:
 
     def test_zero(self):
         assert legendre_factorial_valuation(0, P7) == 0
+
+    def test_negative_raises(self):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            legendre_factorial_valuation(-1, P7)
 
     def test_power_of_two(self):
         assert legendre_factorial_valuation(1024, P2) == 1023

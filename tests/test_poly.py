@@ -107,6 +107,21 @@ class TestDerivative:
         assert (a + b).derivative() == a.derivative() + b.derivative()
 
 
+class TestContent:
+    def test_examples(self):
+        assert IntPolynomial().content() == 0
+        assert IntPolynomial([-6]).content() == 6
+        assert IntPolynomial([6, -4, 0, 10]).content() == 2
+
+    @given(small_polys)
+    def test_is_the_coefficients_gcd(self, q):
+        g = q.content()
+        assert g >= 0 and (g == 0) == q.is_zero
+        if g:
+            assert all(c % g == 0 for c in q.coeffs)
+            assert IntPolynomial(c // g for c in q.coeffs).content() == 1
+
+
 class TestAffineSubstitute:
     def test_h_29k_plus_14(self):
         assert H.affine_substitute(29, 14) == IntPolynomial(

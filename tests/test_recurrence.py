@@ -7,7 +7,7 @@ from itertools import accumulate, chain, islice
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padicval import recurrence
@@ -15,7 +15,7 @@ from padicval.analysis import error_series
 from padicval.cli import main
 
 from padicval.errors import HasIntegerRootError, NotHenselPrimeError, ValuationOfZeroError, ZeroPolynomialError
-from padicval.padic import Prime, Verdict, classify_prime, digit_sum, int_valuation, is_prime
+from padicval.padic import Prime, Verdict, classify_prime, digit_sum, hensel_lift, int_valuation, is_prime
 from padicval.poly import IntPolynomial, squarefree_pieces
 from padicval.recurrence import (
     RecurrenceSpec,
@@ -297,6 +297,47 @@ def linear_products(draw):
     return draw(st.sampled_from((1, -1, 2, p, -p * p))), factors, p, n0, n
 
 
+def hensel_valuation(q, p, n0, n):
+    """sum of v_p(q(i)) over n0 < i <= n0 + n, when p does not divide q's content and
+    every root of q mod p is simple.  Then q is the product of x - alpha over its p-adic
+    roots alpha times a factor that is a unit at every integer, so the sum is, over alpha
+    and k >= 1, the count of i = alpha mod p^k, a difference of two floors.  Each alpha is
+    lifted by hensel_lift, to twice the precision whenever k passes it, and its counts end
+    once p^k > n0 + n and alpha mod p^k is no window index: the stop follows alpha's
+    digits, not a fixed number of them."""
+    pv, N, total = p.value, n0 + n, 0
+    for a in classify_prime(q, p).roots:
+        K = 8
+        alpha, k, m = hensel_lift(q, p, a, K), 1, pv  # alpha is exact mod p^(K+1)
+        while True:
+            if k > K + 1:
+                K *= 2
+                alpha = hensel_lift(q, p, a, K)
+            r = alpha % m
+            if not (m <= N or n0 < r <= N):
+                break
+            total += (N - r) // m - (n0 - r) // m
+            k, m = k + 1, m * pv
+    return total
+
+
+@st.composite
+def hensel_cases(draw):
+    """(q, p, n0, n): q of degree 1-6 with small coefficients, p not dividing its content and
+    every root of q mod p simple; its leading coefficient is sometimes p, which sends a root
+    to infinity."""
+    pv = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=7))
+    coeffs[-1] = draw(st.sampled_from((pv, coeffs[-1] or 1)))
+    q, p = IntPolynomial(coeffs), Prime(pv)
+    assume(q.content() % pv and classify_prime(q, p).all_roots_simple)
+    # st.integers (and st.randoms) draw few values past 10^20 from a range to 10^300, so
+    # the digits come from a seeded random.Random
+    rnd, e = random.Random(draw(st.integers(0, 2**32))), draw(st.integers(1, 300))
+    n0 = make_spec(q).start_index + draw(st.sampled_from((0, rnd.randrange(10**40))))
+    return q, pv, n0, rnd.randrange(1, 10**e + 1)
+
+
 class TestClosedForm:
     """The walk against per-factor floor counts, at n far past the direct oracle's reach:
     the deep Hensel digits and the one-index exit are checked where they happen."""
@@ -313,6 +354,18 @@ class TestClosedForm:
         p = Prime(pv)
         expected = n * int_valuation(c, p) + sum(linear_valuation(a, b, pv, n0, n) for a, b in factors)
         assert valuation_tn(RecurrenceSpec(q, n0), p, n) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(hensel_cases())
+    @example((IntPolynomial([-2, 3]), 13, 0, 10**100))       # 3x - 2: 2/3 is 13-adic, not an integer
+    @example((OMEGA, 5, 0, 10**300))                          # x^2 + 1: the roots of -1 mod 5
+    @example((IntPolynomial([1, 1, 2]), 2, 0, 10**300))       # 2x^2 + x + 1: a root at infinity
+    @example((IntPolynomial([-1, 0, 0, 1]), 7, 10**40, 10**300))  # x^3 - 1: three roots mod 7
+    def test_hensel_prime(self, case):
+        # no oracle here needs Q to split into linear factors over Z
+        q, pv, n0, n = case
+        p = Prime(pv)
+        assert valuation_tn(RecurrenceSpec(q, n0), p, n) == hensel_valuation(q, p, n0, n)
 
     @pytest.mark.parametrize("c", [1, 7])
     def test_class_counts_do_not_grow_with_n(self, c, monkeypatch):
