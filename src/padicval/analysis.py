@@ -50,12 +50,12 @@ def empirical_slope(spec: RecurrenceSpec, p: Prime, n: int) -> Fraction:
 def error_series(spec: RecurrenceSpec, p: Prime, n_max: int, z_p: int
                  ) -> Iterator[tuple[list[int], list[int]]]:
     """The normalized error z_p*n - (p-1)*valuation(t_n) for n = 1 .. n_max,
-    as (err, relerr) blocks: relerr at n is z_p - (p-1)*v_p(Q(n0+n)), and
-    err its running sum."""
-    pm1, err = p.value - 1, 0
-    for block in valuation_blocks(spec, p, n_max):
-        relerr = [z_p - pm1 * v for v in block]
-        errs = list(accumulate(relerr, initial=err))[1:]
+    as (err, relerr) blocks: relerr at n is z_p - (p-1)*v_p(Q(n0+n)), which
+    valuation_blocks gives with base z_p and scale 1-p, and err its running sum."""
+    err = 0
+    for relerr in valuation_blocks(spec, p, n_max, z_p, 1 - p.value):
+        errs = list(accumulate(relerr, initial=err))
+        del errs[0]
         err = errs[-1]
         yield errs, relerr
 

@@ -160,10 +160,9 @@ def primes_first(count: int) -> list[Prime]:
     limit = count * (-(-7 * b // 10) + b.bit_length()) + 10
     try:
         sieve = bytearray([1]) * (limit + 1)
-    except (OverflowError, MemoryError):
-        raise PadicValError(
-            f"cannot list the first {count} primes: their sieve of {limit + 1} bytes does not fit in memory"
-        ) from None
+    except (OverflowError, MemoryError):  # its size as a power of 2, since limit may pass 4300 digits
+        raise PadicValError(f"cannot list the first {count} primes: their sieve of at least "
+                            f"2^{limit.bit_length() - 1} bytes does not fit in memory") from None
     sieve[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:

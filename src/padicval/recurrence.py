@@ -161,20 +161,32 @@ def valuation_tn_fast(spec: RecurrenceSpec, p: Prime, n: int) -> int:
     return valuation_tn(spec, p, n)
 
 
-BLOCK = 1 << 14  # window indices per list: the series hold O(BLOCK) values at a time, not O(n)
+BLOCK = 1 << 14  # indices per list, and the pattern's longest period: O(BLOCK) values held, not O(n)
 
 
-def valuation_blocks(spec: RecurrenceSpec, p: Prime, n: int) -> Iterator[list[int]]:
-    """v_p(Q(i)) for i = n0+1 .. n0+n, in order, BLOCK values to a list (the
-    last may hold fewer), each filled one slice values[start::A] per class
-    of one walk of residue_classes over the whole window."""
-    classes = [(a, b, w) for a, b, w, _ in residue_classes(spec, p, n)]
-    for s in range(0, n, BLOCK):
-        lo, size = spec.start_index + s, min(BLOCK, n - s)
-        values = [0] * size
-        for a, b, w in classes:
-            start = (b - lo - 1) % a
-            values[start::a] = [v + w for v in values[start::a]]
+def valuation_blocks(spec: RecurrenceSpec, p: Prime, n: int, base: int = 0, scale: int = 1
+                     ) -> Iterator[list[int]]:
+    """base + scale*v_p(Q(i)) for i = n0+1 .. n0+n, in order, BLOCK values to a list (the last
+    may hold fewer), from one walk of residue_classes over the whole window.  Every class
+    modulus A is a power of p, so the classes with A <= BLOCK add up to one pattern of period
+    P, their largest A, one slice pattern[B::A] each.  A block is cut from that pattern, tiled
+    once, plus each class with A > BLOCK, which holds at most one index of a block."""
+    size, small, large = BLOCK, [], []
+    for a, b, w, _ in residue_classes(spec, p, n):
+        (small if a <= size else large).append((a, b, scale * w))
+    period = max([a for a, _, _ in small], default=1)
+    pattern = [base] * period  # pattern[j] for the indices i = j mod P
+    for a, b, w in small:
+        pattern[b::a] = [v + w for v in pattern[b::a]]
+    pattern *= -(-min(n, size) // period)  # tiled once, to a block's length or more
+    for s in range(0, n, size):
+        first, length = spec.start_index + s + 1, min(size, n - s)  # the block's first index
+        cut = first % period
+        values = pattern[cut:cut + length]
+        values += pattern[:length - len(values)]  # wraps round: the tiled length is a multiple of P
+        for a, b, w in large:
+            if (j := (b - first) % a) < length:
+                values[j] += w
         yield values
 
 
@@ -182,7 +194,8 @@ def valuation_series(spec: RecurrenceSpec, p: Prime, n_max: int) -> Iterator[tup
     """The valuations of t_1 .. t_n_max as one-column blocks: running sums of valuation_blocks."""
     total = 0
     for block in valuation_blocks(spec, p, n_max):
-        sums = list(accumulate(block, initial=total))[1:]
+        block[0] += total
+        sums = list(accumulate(block))
         total = sums[-1]
         yield (sums,)
 

@@ -447,6 +447,9 @@ class TestScan:
         ("reproduce", "example2", "--scan-count", str(10**306)),
         ("scan", "--poly", "x", "--count", str(10**4000)),
         ("reproduce", "example2", "--scan-count", str(10**4000)),
+        # the sieve's size has more than 4300 digits, so the error states it as a power of 2
+        ("scan", "--poly", "x", "--count", str(10**4299)),
+        ("reproduce", "example2", "--scan-count", str(10**4299)),
     ])
     def test_huge_count_is_domain_error(self, capsys, argv):
         # the sieve's size does not fit in an index, so nothing is allocated

@@ -293,7 +293,11 @@ def linear_products(draw):
         a, b = factors[0]
         factors.append((a, b + a * p * draw(st.integers(-3, 3))))
     n0 = max(0, *(-b for _, b in factors)) + draw(st.sampled_from((0, 1, 10**6, 10**50)))
-    n = draw(st.one_of(st.integers(1, 10**6), st.integers(1, 10**300)))
+    # st.integers draws few values past 10^50 from a range to 10^300, so some n take
+    # their digits from a seeded random.Random, as in hensel_cases
+    n = draw(st.one_of(st.integers(1, 10**6), st.integers(1, 10**300),
+                       st.builds(lambda seed, e: random.Random(seed).randrange(1, 10**e + 1),
+                                 st.integers(0, 2**32), st.integers(1, 300))))
     return draw(st.sampled_from((1, -1, 2, p, -p * p))), factors, p, n0, n
 
 
@@ -654,6 +658,29 @@ class TestBlocks:
     def test_n_below_one(self, call):
         with pytest.raises(ValueError):
             call()
+
+
+class TestPattern:
+    """The blocks at the real BLOCK, n = 3*BLOCK + 5: each block is a slice of one periodic
+    pattern, of period P the largest class modulus A <= BLOCK, plus the classes with A > BLOCK."""
+
+    @pytest.mark.parametrize("q, pv, n0, period", [
+        (Q1, 127, 0, 127**2),     # P does not divide BLOCK: every block starts at a new offset
+        (Q1, 16411, 0, 1),        # the first prime past 2^14: every root class has A > BLOCK
+        (IntPolynomial([21, -10, 22, -10, 1]), 2, 7, 2**14),  # (x-3)(x-7)(x^2+1): n0 = 7
+    ], ids=["Q1-127", "Q1-16411", "roots-3-7-p2"])
+    def test_equals_per_index(self, q, pv, n0, period):
+        spec, p, n = make_spec(q), Prime(pv), 3 * recurrence.BLOCK + 5
+        assert spec.start_index == n0
+        assert max([a for a, *_ in recurrence.residue_classes(spec, p, n) if a <= recurrence.BLOCK],
+                   default=1) == period
+        terms = [int_valuation(q.evaluate(i), p) for i in range(n0 + 1, n0 + n + 1)]
+        blocks = list(valuation_blocks(spec, p, n))
+        assert [len(b) for b in blocks] == [recurrence.BLOCK] * 3 + [5]
+        assert list(chain.from_iterable(blocks)) == terms
+        zp = classify_prime(q, p).z_p
+        err, relerr = (list(chain.from_iterable(col)) for col in zip(*error_series(spec, p, n, zp)))
+        assert relerr == [zp - (pv - 1) * v for v in terms] and err == list(accumulate(relerr))
 
 
 class TestSeries:
